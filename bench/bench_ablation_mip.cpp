@@ -2,35 +2,17 @@
 //
 // The paper used Gurobi as a black box; our substitute stacks a primal
 // heuristic (LP/correlation prefix scan -> exact 2-variable refit -> grow ->
-// maximum-likelihood polish) on branch-and-bound. Two tables:
-//
-// 1. Attack-level variants (which stage answers Algorithm 2):
+// maximum-likelihood polish) on branch-and-bound. Attack-level variants
+// (which stage answers Algorithm 2):
 //      bnb_cold    : pure branch and bound, every node LP solved from scratch
-//      bnb_warm    : pure branch and bound, dual-simplex warm starts only
-//      bnb_prop    : warm B&B plus the propagation stack (root cuts,
-//                    reduced-cost fixing, pseudo-cost branching) — the
-//                    default solver configuration
+//      bnb_warm    : pure branch and bound, dual-simplex warm starts (the
+//                    solver's only search)
 //      heuristic   : full primal heuristic (the attack default)
 //      lp_root     : heuristic with LP-relaxation ordering forced
 //      corr_root   : heuristic with correlation ordering forced
 //
-// 2. Solver-level ablation on minimum-support band models (minimize sum(q)
-//    subject to the Eq. (14) noise bands — the sparsest consistent query,
-//    which exercises bounding, not just feasibility): each propagation
-//    technique toggled alone and together, same node/time budget. The
-//    headline scalars merged into BENCH_opt.json are
-//      mip_ablation_node_reduction_all_over_warm  (acceptance: >= 2)
-//      mip_ablation_nodelimit_rescued             (a budget-bound instance
-//                                                  that plain warm DFS cannot
-//                                                  finish now proves Optimal)
-//
 // Usage: bench_ablation_mip [--d=60] [--queries=N] [--seed=S]
-//                           [--budget-nodes=20000] [--json=BENCH_opt.json]
-#include <cctype>
-#include <sstream>
-
 #include "bench_common.hpp"
-#include "common/stopwatch.hpp"
 #include "core/metrics.hpp"
 #include "core/mip_attack.hpp"
 #include "data/quest.hpp"
@@ -51,172 +33,7 @@ opt::MipOptions plain_warm_solver() {
   opt::MipOptions s;
   s.first_feasible = true;
   s.time_limit_seconds = 5.0;
-  return s;  // techniques default off
-}
-
-// ------------------------------------------------- solver-level ablation
-
-/// Minimum-support variant of the Eq. (14) band model: binary q, continuous
-/// rhat/that, one GE/LE noise-band pair per known record, objective
-/// minimize sum(q). Feasible by construction (planted query).
-opt::Model min_support_band_model(std::size_t d, std::size_t m, double sigma,
-                                  rng::Rng& rng) {
-  const double rhat_true = 1.3, that_true = 0.7;
-  std::vector<BitVec> records;
-  BitVec q = rng.binary_bernoulli(d, 0.3);
-  q[0] = 1;  // at least one keyword
-  for (std::size_t i = 0; i < m; ++i) {
-    records.push_back(rng.binary_bernoulli(d, 0.4));
-  }
-  opt::Model model;
-  const auto rhat = model.add_variable(1e-4, 1e4);
-  const auto that = model.add_variable(1e-6, 1e4);
-  std::vector<std::size_t> qv(d);
-  for (std::size_t k = 0; k < d; ++k) qv[k] = model.add_binary();
-  opt::LinExpr card, support;
-  for (std::size_t k = 0; k < d; ++k) {
-    card.push_back({qv[k], 1.0});
-    support.push_back({qv[k], 1.0});
-  }
-  model.add_constraint(std::move(card), opt::Sense::GreaterEqual, 1.0);
-  model.set_objective(std::move(support));
-  for (std::size_t i = 0; i < m; ++i) {
-    double a = 0.0;
-    for (std::size_t k = 0; k < d; ++k) a += (records[i][k] & q[k]) ? 1.0 : 0.0;
-    const double noise = rng.uniform(-2.5 * sigma, 2.5 * sigma);
-    const double c = (a + that_true + noise) / rhat_true;
-    opt::LinExpr e;
-    e.push_back({rhat, c});
-    e.push_back({that, -1.0});
-    for (std::size_t k = 0; k < d; ++k) {
-      if (records[i][k] != 0) e.push_back({qv[k], -1.0});
-    }
-    model.add_constraint(e, opt::Sense::GreaterEqual, -3.0 * sigma);
-    model.add_constraint(std::move(e), opt::Sense::LessEqual, 3.0 * sigma);
-  }
-  return model;
-}
-
-struct SolverVariant {
-  const char* name;
-  opt::MipOptions options;
-};
-
-struct SolverTally {
-  std::string name;
-  std::size_t nodes = 0;
-  std::size_t iterations = 0;
-  std::size_t cuts = 0;
-  std::size_t rc_fixings = 0;
-  std::size_t strong_branches = 0;
-  std::size_t optimal = 0;  // instances proved Optimal within budget
-  double seconds = 0.0;
-};
-
-std::vector<SolverVariant> solver_variants(std::size_t budget_nodes) {
-  opt::MipOptions base;
-  base.time_limit_seconds = 10.0;
-  base.max_nodes = budget_nodes;
-
-  std::vector<SolverVariant> variants;
-  variants.push_back({"bnb_warm", base});
-  {
-    opt::MipOptions o = base;
-    o.gomory_cuts = true;
-    o.cover_cuts = true;
-    variants.push_back({"cuts", o});
-  }
-  {
-    opt::MipOptions o = base;
-    o.reduced_cost_fixing = true;
-    variants.push_back({"rcfix", o});
-  }
-  {
-    opt::MipOptions o = base;
-    o.pseudo_cost_branching = true;
-    variants.push_back({"pseudocost", o});
-  }
-  {
-    opt::MipOptions o = base;
-    o.node_selection = opt::NodeSelection::BestFirst;
-    variants.push_back({"bestfirst", o});
-  }
-  {
-    opt::MipOptions o = base;
-    o.gomory_cuts = true;
-    o.cover_cuts = true;
-    o.reduced_cost_fixing = true;
-    o.pseudo_cost_branching = true;
-    variants.push_back({"all", o});
-  }
-  {
-    opt::MipOptions o = base;
-    o.gomory_cuts = true;
-    o.cover_cuts = true;
-    o.reduced_cost_fixing = true;
-    o.pseudo_cost_branching = true;
-    o.node_selection = opt::NodeSelection::BestFirst;
-    o.restarts = true;
-    variants.push_back({"all_restart", o});
-  }
-  return variants;
-}
-
-const char* status_name(opt::MipStatus s) {
-  switch (s) {
-    case opt::MipStatus::Optimal: return "Optimal";
-    case opt::MipStatus::Feasible: return "Feasible";
-    case opt::MipStatus::Infeasible: return "Infeasible";
-    case opt::MipStatus::NodeLimit: return "NodeLimit";
-    case opt::MipStatus::TimeLimit: return "TimeLimit";
-    case opt::MipStatus::Heuristic: return "Heuristic";
-    case opt::MipStatus::NotRun: return "NotRun";
-  }
-  return "?";
-}
-
-/// Merge the ablation block into an existing bench_micro-written
-/// BENCH_opt.json (idempotent: an earlier ablation block is replaced).
-void merge_opt_json(const std::string& path,
-                    const std::vector<SolverTally>& tallies,
-                    double node_reduction, bool rescued) {
-  std::string base;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      base = ss.str();
-    }
-  }
-  const auto marker = base.find("\"ablation_results\"");
-  if (marker != std::string::npos) {
-    const auto comma = base.rfind(',', marker);
-    base.resize(comma == std::string::npos ? 0 : comma);
-  } else {
-    const auto brace = base.rfind('}');
-    if (brace != std::string::npos) base.resize(brace);
-  }
-  while (!base.empty() &&
-         std::isspace(static_cast<unsigned char>(base.back()))) {
-    base.pop_back();
-  }
-  if (base.empty()) base = "{\n  \"benchmark\": \"opt_warm_start_sweep\"";
-
-  std::ofstream out(path);
-  out << base << ",\n  \"ablation_results\": [\n";
-  for (std::size_t i = 0; i < tallies.size(); ++i) {
-    const auto& t = tallies[i];
-    out << "    {\"variant\": \"" << t.name << "\", \"nodes\": " << t.nodes
-        << ", \"iterations\": " << t.iterations << ", \"cuts\": " << t.cuts
-        << ", \"rc_fixings\": " << t.rc_fixings
-        << ", \"strong_branches\": " << t.strong_branches
-        << ", \"optimal\": " << t.optimal << ", \"seconds\": " << t.seconds
-        << "}" << (i + 1 < tallies.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"mip_ablation_node_reduction_all_over_warm\": "
-      << node_reduction << ",\n  \"mip_ablation_nodelimit_rescued\": "
-      << (rescued ? "true" : "false") << "\n}\n";
+  return s;
 }
 
 }  // namespace
@@ -227,9 +44,6 @@ int main(int argc, char** argv) {
   const auto num_queries =
       static_cast<std::size_t>(flags.get_int("queries", 8));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2017));
-  const auto budget_nodes =
-      static_cast<std::size_t>(flags.get_int("budget-nodes", 20000));
-  const std::string json_path = flags.get_string("json", "BENCH_opt.json");
 
   bench::print_banner("Ablation: MIP attack solver components",
                       "Gurobi-substitute design choices (DESIGN.md §4.1)");
@@ -248,14 +62,6 @@ int main(int argc, char** argv) {
     Variant v{"bnb_warm", {}};
     v.options.use_heuristic = false;
     v.options.solver = plain_warm_solver();
-    variants.push_back(v);
-  }
-  {
-    // Warm B&B plus the propagation stack — MipAttackOptions::default_solver
-    // with only the time budget aligned to the other B&B rows.
-    Variant v{"bnb_prop", {}};
-    v.options.use_heuristic = false;
-    v.options.solver.time_limit_seconds = 5.0;
     variants.push_back(v);
   }
   {
@@ -324,107 +130,5 @@ int main(int argc, char** argv) {
                          std::to_string(num_queries)});
   }
 
-  // ------------------------------------------------ solver-level ablation
-  std::printf(
-      "\nSolver ablation: minimum-support objective (min sum q) on the\n"
-      "Eq. (14) band models, solved to optimality under a %zu-node budget.\n\n",
-      budget_nodes);
-
-  struct Instance {
-    std::size_t d, m;
-    double sigma;
-    std::uint64_t seed;
-  };
-  const std::vector<Instance> instances = {
-      {20, 30, 0.10, 101}, {30, 45, 0.10, 202}, {40, 60, 0.10, 303}};
-
-  std::vector<SolverTally> tallies;
-  bench::TablePrinter ab_table({"variant", "nodes", "LPiters", "cuts",
-                                "rcfix", "probes", "optimal", "Time(s)"},
-                               11);
-  ab_table.print_header();
-  for (const auto& sv : solver_variants(budget_nodes)) {
-    SolverTally t;
-    t.name = sv.name;
-    for (const auto& inst : instances) {
-      rng::Rng mrng(33 + inst.seed);
-      const opt::Model model =
-          min_support_band_model(inst.d, inst.m, inst.sigma, mrng);
-      Stopwatch watch;
-      const opt::MipResult r = opt::solve_mip(model, sv.options);
-      t.seconds += watch.seconds();
-      t.nodes += r.nodes_explored;
-      t.iterations += r.simplex_iterations;
-      t.cuts += r.cuts_added;
-      t.rc_fixings += r.rc_fixings;
-      t.strong_branches += r.strong_branches;
-      if (r.status == opt::MipStatus::Optimal) ++t.optimal;
-    }
-    ab_table.print_row(
-        {t.name, std::to_string(t.nodes), std::to_string(t.iterations),
-         std::to_string(t.cuts), std::to_string(t.rc_fixings),
-         std::to_string(t.strong_branches),
-         std::to_string(t.optimal) + "/" + std::to_string(instances.size()),
-         bench::fmt(t.seconds, 3)});
-    tallies.push_back(std::move(t));
-  }
-
-  double warm_nodes = 0.0, all_nodes = 0.0;
-  for (const auto& t : tallies) {
-    if (t.name == "bnb_warm") warm_nodes = static_cast<double>(t.nodes);
-    if (t.name == "all") all_nodes = static_cast<double>(t.nodes);
-  }
-  const double node_reduction =
-      all_nodes > 0.0 ? warm_nodes / all_nodes : 0.0;
-
-  // ------------------------------------------------ NodeLimit rescue
-  // A budget-bound minimum-support instance: under the same small node
-  // budget, plain warm DFS runs out of nodes before proving optimality while
-  // the propagation stack closes the instance.
-  const auto rescue_d = static_cast<std::size_t>(flags.get_int("rescue-d", 40));
-  const auto rescue_m =
-      static_cast<std::size_t>(flags.get_int("rescue-m", 60));
-  const auto rescue_nodes =
-      static_cast<std::size_t>(flags.get_int("rescue-nodes", 12));
-  const auto rescue_seed =
-      static_cast<std::uint64_t>(flags.get_int("rescue-seed", 606));
-  opt::MipStatus warm_status, all_status;
-  std::size_t warm_used = 0, all_used = 0;
-  {
-    opt::MipOptions warm_opts;
-    warm_opts.time_limit_seconds = 10.0;
-    warm_opts.max_nodes = rescue_nodes;
-    opt::MipOptions all_opts = warm_opts;
-    all_opts.gomory_cuts = true;
-    all_opts.cover_cuts = true;
-    all_opts.reduced_cost_fixing = true;
-    all_opts.pseudo_cost_branching = true;
-
-    rng::Rng r1(33 + rescue_seed);
-    const opt::Model m1 =
-        min_support_band_model(rescue_d, rescue_m, 0.10, r1);
-    const opt::MipResult warm_res = opt::solve_mip(m1, warm_opts);
-    const opt::MipResult all_res = opt::solve_mip(m1, all_opts);
-    warm_status = warm_res.status;
-    all_status = all_res.status;
-    warm_used = warm_res.nodes_explored;
-    all_used = all_res.nodes_explored;
-  }
-  const bool rescued = warm_status == opt::MipStatus::NodeLimit &&
-                       all_status == opt::MipStatus::Optimal;
-  std::printf(
-      "\nRescue instance (d=%zu, m=%zu, %zu-node budget): bnb_warm %s after\n"
-      "%zu nodes; cuts+rcfix+pseudocost %s after %zu nodes.\n",
-      rescue_d, rescue_m, rescue_nodes, status_name(warm_status), warm_used,
-      status_name(all_status), all_used);
-
-  std::printf(
-      "\nReading: the root cut loop and strong-branching probes shrink the\n"
-      "tree (nodes) rather than just the per-node cost (the warm-start\n"
-      "ratio); node reduction all-over-warm = %.2fx across the sweep.\n",
-      node_reduction);
-
-  merge_opt_json(json_path, tallies, node_reduction, rescued);
-  std::printf("\nmerged ablation results into %s\n", json_path.c_str());
   return 0;
 }

@@ -73,86 +73,6 @@ std::vector<std::pair<std::string, std::string>> bench_scalars(
   return fields;
 }
 
-/// Objects of a file's "ablation_results" array as ordered key/value rows
-/// (empty when the file carries no ablation block). Handles exactly the flat
-/// one-object-per-line shape this repo's writers emit.
-std::vector<std::vector<std::pair<std::string, std::string>>> ablation_rows(
-    const std::filesystem::path& path) {
-  std::vector<std::vector<std::pair<std::string, std::string>>> rows;
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const auto start = text.find("\"ablation_results\"");
-  if (start == std::string::npos) return rows;
-  std::size_t i = text.find('[', start);
-  if (i == std::string::npos) return rows;
-  while (i < text.size() && text[i] != ']') {
-    if (text[i] != '{') {
-      ++i;
-      continue;
-    }
-    const auto end = text.find('}', i);
-    if (end == std::string::npos) break;
-    std::vector<std::pair<std::string, std::string>> row;
-    std::size_t j = i + 1;
-    while (j < end) {
-      const auto kq = text.find('"', j);
-      if (kq == std::string::npos || kq >= end) break;
-      const auto kq2 = text.find('"', kq + 1);
-      const std::string key = text.substr(kq + 1, kq2 - kq - 1);
-      std::size_t v = text.find(':', kq2) + 1;
-      while (v < end && std::isspace(static_cast<unsigned char>(text[v]))) ++v;
-      std::string value;
-      if (text[v] == '"') {
-        const auto vq = text.find('"', v + 1);
-        value = text.substr(v + 1, vq - v - 1);
-        j = vq + 1;
-      } else {
-        while (v < end && text[v] != ',') value += text[v++];
-        while (!value.empty() &&
-               std::isspace(static_cast<unsigned char>(value.back()))) {
-          value.pop_back();
-        }
-        j = v;
-      }
-      row.emplace_back(key, value);
-      j = text.find(',', j) == std::string::npos
-              ? end
-              : std::min(end, text.find(',', j) + 1);
-    }
-    if (!row.empty()) rows.push_back(std::move(row));
-    i = end + 1;
-  }
-  return rows;
-}
-
-void print_ablation_tables(const std::vector<std::filesystem::path>& files) {
-  for (const auto& file : files) {
-    const auto rows = ablation_rows(file);
-    if (rows.empty()) continue;
-    std::printf("\n--- solver ablation variants (%s) ---\n\n",
-                file.filename().string().c_str());
-    std::vector<std::string> headers;
-    for (const auto& [key, value] : rows.front()) headers.push_back(key);
-    bench::TablePrinter table(headers, 13);
-    table.print_header();
-    for (const auto& row : rows) {
-      std::vector<std::string> cells;
-      for (const auto& header : headers) {
-        std::string cell = "-";
-        for (const auto& [key, value] : row) {
-          if (key == header) {
-            cell = value;
-            break;
-          }
-        }
-        cells.push_back(std::move(cell));
-      }
-      table.print_row(cells);
-    }
-  }
-}
-
 void print_bench_artifacts() {
   namespace fs = std::filesystem;
   std::vector<fs::path> files;
@@ -180,7 +100,6 @@ void print_bench_artifacts() {
       shown.clear();  // file name only on its first row
     }
   }
-  print_ablation_tables(files);
 }
 
 }  // namespace

@@ -295,8 +295,8 @@ int main(int argc, char** argv) {
 
   // ---- persistent MIP basis cache: repeated identical MIP jobs ----------
   // Enough known-plain rows that the root LP dominates the solve; the warm
-  // repeats restore the cached root basis + cut pool instead of re-running
-  // the full root relaxation.
+  // repeats restore the cached root basis instead of re-running the full
+  // root relaxation.
   const std::size_t mip_rows = full ? 300 : 160;
   const std::string mrecords = (dir / "mrecords.txt").string();
   const std::string mquery = (dir / "mquery.txt").string();

@@ -230,7 +230,7 @@ struct DispatchHooks {
   ScoreMatrixCache* score_cache = nullptr;
   std::string score_key;
 
-  /// Persistent MIP basis + cut-pool state, keyed by the caller (the daemon
+  /// Persistent MIP root-basis state, keyed by the caller (the daemon
   /// keys on corpus fingerprints + attack parameters). Dispatch hands it to
   /// the 7-arg run_mip_attack, which self-invalidates on model-digest
   /// mismatch. The caller owns lifetime and cross-job locking.

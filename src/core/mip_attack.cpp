@@ -585,22 +585,13 @@ MipAttackResult run_mip_attack(
 
   std::size_t bnb_nodes = 0;
   std::size_t bnb_pivots = 0;
-  std::size_t bnb_cuts = 0;
-  std::size_t bnb_rc_fixings = 0;
-  std::size_t bnb_strong_branches = 0;
-  std::size_t bnb_restarts = 0;
   if (!answered) {
     obs::Span span("mip/branch_and_bound");
     if (!solver.has_value()) solver.emplace(model, options.solver.lp);
-    const opt::MipResult mip =
-        opt::solve_mip(model, *solver, options.solver, &ws->bnb);
+    const opt::MipResult mip = opt::solve_mip(model, *solver, options.solver);
     result.status = mip.status;
     bnb_nodes = mip.nodes_explored;
     bnb_pivots = mip.simplex_iterations;
-    bnb_cuts = mip.cuts_added;
-    bnb_rc_fixings = mip.rc_fixings;
-    bnb_strong_branches = mip.strong_branches;
-    bnb_restarts = mip.restarts;
     if (mip.has_solution()) {
       result.found = true;
       result.rhat = mip.x[0];
@@ -622,13 +613,6 @@ MipAttackResult run_mip_attack(
   result.telemetry.counters["mip.bnb.nodes"] = static_cast<double>(bnb_nodes);
   result.telemetry.counters["mip.bnb.simplex_iterations"] =
       static_cast<double>(bnb_pivots);
-  result.telemetry.counters["mip.cuts_added"] = static_cast<double>(bnb_cuts);
-  result.telemetry.counters["mip.rc_fixings"] =
-      static_cast<double>(bnb_rc_fixings);
-  result.telemetry.counters["mip.strong_branches"] =
-      static_cast<double>(bnb_strong_branches);
-  result.telemetry.counters["mip.restarts"] =
-      static_cast<double>(bnb_restarts);
 
   root.reset();
   result.telemetry.wall_seconds = watch.seconds();

@@ -62,15 +62,6 @@ struct MipAttackOptions {
     opt::MipOptions s;
     s.first_feasible = true;  // Algorithm 2 wants any feasible point
     s.time_limit_seconds = 20.0;
-    // Propagation techniques that pay off on the Eq. (14) band models: the
-    // root cut loop tightens the polytope toward the integer hull before the
-    // dive, and shallow strong-branching probes convert one-side-infeasible
-    // branchings into domain reductions. Reduced-cost fixing is enabled for
-    // completeness but is inert under first_feasible's zero objective.
-    s.gomory_cuts = true;
-    s.cover_cuts = true;
-    s.pseudo_cost_branching = true;
-    s.reduced_cost_fixing = true;
     return s;
   }
 };
@@ -85,16 +76,14 @@ struct MipAttackResult {
   /// in a default-constructed result.
   opt::MipStatus status = opt::MipStatus::NotRun;
   /// Wall time, span summary and counter snapshot for this run. Driver
-  /// counters: "mip.bnb.nodes", "mip.bnb.simplex_iterations",
-  /// "mip.heuristic.fit_probes", "mip.model_rows", plus the propagation
-  /// tallies "mip.cuts_added", "mip.rc_fixings", "mip.strong_branches" and
-  /// "mip.restarts" (all zero when the heuristic answers).
+  /// counters: "mip.bnb.nodes" and "mip.bnb.simplex_iterations" (both zero
+  /// when the heuristic answers), "mip.heuristic.fit_probes",
+  /// "mip.model_rows" and "mip.model_cols".
   AttackTelemetry telemetry;
 };
 
 /// Persistent cross-job warm state for run_mip_attack: the root-LP basis of
-/// the primal heuristic plus the branch-and-bound root snapshot
-/// (opt::WarmCutPool). Keyed by a digest over the *full* numeric content of
+/// the primal heuristic. Keyed by a digest over the *full* numeric content of
 /// the built model — two jobs warm-share state only when their models are
 /// identical down to every coefficient bit, which (with a deterministic
 /// solver) makes the warm answer bit-identical to the cold one. A digest
@@ -102,12 +91,12 @@ struct MipAttackResult {
 ///
 /// The attack canonicalizes its root LP whether or not a state is attached
 /// (basis exported, restored, re-solved warm), so solo runs, exporting runs
-/// and attaching runs all follow one pivot sequence.
+/// and attaching runs all follow one pivot sequence — into the heuristic and,
+/// when it fails, into the branch-and-bound fallback that shares the solver.
 struct MipWarmState {
   std::uint64_t model_digest = 0;
   bool has_root_basis = false;
   opt::BasisState root_basis;  // heuristic root-LP basis
-  opt::WarmCutPool bnb;        // branch-and-bound root snapshot
 };
 
 /// FNV-1a digest over a model's complete numeric content (variable bounds,
@@ -134,8 +123,8 @@ struct MipWarmState {
     const MipAttackOptions& options = {}, const ExecContext& ctx = {});
 
 /// Variant with a persistent warm state (see MipWarmState): a repeated job
-/// whose model digest matches skips the cold root LP and the first root cut
-/// loop, bit-identically. Pass nullptr for the plain behaviour.
+/// whose model digest matches skips the cold root LP, bit-identically. Pass
+/// nullptr for the plain behaviour.
 [[nodiscard]] MipAttackResult run_mip_attack(
     const std::vector<sse::KnownBinaryPair>& known_pairs,
     const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,

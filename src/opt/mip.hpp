@@ -6,21 +6,11 @@
 // depth-first most-fractional branching with nearest-integer-first child
 // ordering behave like an LP diving heuristic with backtracking.
 //
-// Beyond the warm-started tree search, the solver carries four
-// independently-toggleable propagation techniques (all off reproduces the
-// plain warm-started DFS bit for bit):
-//   * a root cut loop: Gomory mixed-integer cuts from the optimal simplex
-//     tableau plus knapsack cover cuts from the model rows, selected from a
-//     violation-ranked pool and appended as permanent ≤/≥ rows,
-//   * reduced-cost bound propagation: once an incumbent exists, nonbasic
-//     integer variables whose reduced cost proves they cannot move without
-//     passing the incumbent are fixed or tightened (per node, and globally
-//     on restarts),
-//   * pseudo-cost branching seeded by strong-branching probes at shallow
-//     depths, with deterministic index tie-breaks,
-//   * best-first node selection (priority queue on the parent LP bound with
-//     a DFS plunge phase) and optional restarts that replay learned global
-//     bound tightenings.
+// The search is plain warm-started depth-first B&B: each node's LP is
+// re-optimized by the dual simplex from its parent's basis. Cutting planes,
+// reduced-cost fixing, pseudo-cost/strong branching, best-first selection and
+// restarts were measured on the attack's own instances and none of them met
+// the keep rule there (docs/opt.md, "Why plain warm DFS").
 #pragma once
 
 #include <cstddef>
@@ -41,16 +31,6 @@ enum class MipStatus {
   Heuristic,      // feasible point from a primal heuristic; search skipped
 };
 
-/// How open nodes are ordered.
-enum class NodeSelection {
-  /// LIFO stack, near child on top — the historical diving DFS.
-  DepthFirst,
-  /// Priority queue on the parent LP bound (lowest first, FIFO tie-break)
-  /// with a bounded DFS plunge after every expansion so incumbents still
-  /// arrive early.
-  BestFirst,
-};
-
 struct MipResult {
   MipStatus status = MipStatus::NotRun;
   Vec x;                   // best integer-feasible point (when found)
@@ -60,10 +40,6 @@ struct MipResult {
   std::size_t simplex_iterations = 0;  // total LP pivots across all nodes
   std::size_t lp_warm_solves = 0;      // nodes re-optimized by dual simplex
   std::size_t lp_cold_solves = 0;      // nodes solved from the artificial basis
-  std::size_t cuts_added = 0;          // rows appended by the root cut loop
-  std::size_t rc_fixings = 0;          // bounds tightened by reduced costs
-  std::size_t strong_branches = 0;     // strong-branching LP probes
-  std::size_t restarts = 0;            // search restarts performed
 
   [[nodiscard]] bool has_solution() const {
     return status == MipStatus::Optimal || status == MipStatus::Feasible;
@@ -83,92 +59,6 @@ struct MipOptions {
   double time_limit_seconds = 60.0;
   double int_tol = 1e-6;
   SimplexOptions lp;
-
-  // --- root cutting planes ------------------------------------------------
-  /// Separate Gomory mixed-integer cuts from the optimal root tableau.
-  bool gomory_cuts = false;
-  /// Separate knapsack cover cuts from the model's ≤/≥ rows (continuous
-  /// terms relaxed to their bounds, coefficients tightened by presolve-style
-  /// activity analysis).
-  bool cover_cuts = false;
-  /// Maximum separate-append-reoptimize rounds at the root.
-  std::size_t max_cut_rounds = 8;
-  /// Violation-ranked cuts appended per round (the rest stay in the pool
-  /// and are re-scored against the next fractional point).
-  std::size_t max_cuts_per_round = 20;
-  /// Minimum efficacy (violation / coefficient norm) for a pool cut.
-  double cut_min_violation = 1e-4;
-
-  // --- reduced-cost propagation -------------------------------------------
-  /// After every node LP solved under an incumbent, fix or tighten nonbasic
-  /// integer variables whose reduced cost proves they cannot participate in
-  /// a better solution; applied globally when a restart returns to the root.
-  bool reduced_cost_fixing = false;
-
-  // --- branching ----------------------------------------------------------
-  /// Branch on pseudo-cost scores (product of estimated up/down objective
-  /// gains) instead of most-fractional. Uninitialized variables at shallow
-  /// depth are seeded by strong-branching probes; ties break on
-  /// fractionality, then the smaller index — deterministic at any thread
-  /// count.
-  bool pseudo_cost_branching = false;
-  /// Probe depth cutoff: nodes at depth < strong_branch_depth strong-branch
-  /// their unreliable candidates.
-  std::size_t strong_branch_depth = 4;
-  /// Maximum probed candidates per node (most-fractional first).
-  std::size_t strong_branch_candidates = 8;
-  /// Pseudo-cost observations per direction before a variable's estimate is
-  /// trusted without probing.
-  std::size_t reliability = 2;
-
-  // --- node selection -----------------------------------------------------
-  NodeSelection node_selection = NodeSelection::DepthFirst;
-  /// Consecutive near-child dives taken after each best-first expansion
-  /// before returning to the queue.
-  std::size_t plunge_depth = 8;
-
-  // --- restarts -----------------------------------------------------------
-  /// Abandon the open tree when it stalls, replay the global bound
-  /// tightenings learned so far (root reduced-cost fixings, depth-0 probe
-  /// fixings), re-run the root cut loop and start over with the retained
-  /// pseudo-costs.
-  bool restarts = false;
-  /// Nodes without incumbent improvement before a restart fires (0 = auto).
-  std::size_t restart_interval = 0;
-  /// Hard cap on restarts per solve.
-  std::size_t max_restarts = 2;
-};
-
-/// A separated cut over structural variables. Pool cuts carry their
-/// efficacy-ranking metadata (coefficient norm, generation sequence) so a
-/// replayed pool re-scores exactly as the original run did; cuts already
-/// appended as model rows only need terms/sense/rhs.
-struct PoolCut {
-  LinExpr terms;  // ascending var index, no duplicates
-  Sense sense = Sense::GreaterEqual;
-  double rhs = 0.0;
-  double norm = 1.0;    // 2-norm of the coefficients
-  std::size_t seq = 0;  // generation order — deterministic tie-break
-};
-
-/// Snapshot of one root cut loop, attachable to a later solve of a
-/// *structurally identical, freshly built* model (same variables, rows and
-/// coefficients — the caller keys snapshots, e.g. by a model digest).
-///
-/// On the first solve (has_basis == false at entry) the snapshot is filled:
-/// the cuts appended as model rows, the leftover un-appended pool, the cut
-/// sequence counter, the global bound tightenings recorded during the loop,
-/// and the root basis. On a later solve the snapshot replays all of that and
-/// the first cut loop is skipped, so the search resumes from a state
-/// bit-identical to the exporting run's — warm results equal cold results
-/// bit for bit.
-struct WarmCutPool {
-  std::vector<PoolCut> applied;          // cuts appended as model rows
-  std::vector<PoolCut> pool;             // separated but never appended
-  std::size_t cut_seq = 0;               // next cut generation number
-  std::vector<GlobalBound> tightenings;  // global fixings from the loop
-  BasisState basis;                      // root basis after the cut loop
-  bool has_basis = false;
 };
 
 /// Solve a mixed-integer linear program by LP-based branch and bound.
@@ -176,21 +66,8 @@ struct WarmCutPool {
 
 /// In-place variant sharing a caller-owned solver (e.g. the MIP attack's
 /// root-LP solver, whose basis then warm-starts the root node). Presolve
-/// mutates `model` bounds only; the root cut loop appends rows to `model`
-/// (and mirrors them into `solver`), which stay valid for later solves.
-/// `solver` must have been built over `model`.
+/// mutates `model` bounds only; `solver` must have been built over `model`.
 [[nodiscard]] MipResult solve_mip(Model& model, SimplexSolver& solver,
                                   const MipOptions& options = {});
-
-/// Variant with a persistent root-state snapshot (see WarmCutPool). When
-/// `warm` is non-null and empty it is filled from this run's first cut loop;
-/// when it already carries a basis the root state is replayed instead of
-/// recomputed. Either way the solver state entering the tree search is
-/// canonicalized (basis restored, factorization rebuilt lazily), so a run
-/// that exports, a run that attaches, and a run with an empty throwaway
-/// snapshot all produce bit-identical results. Passing nullptr reproduces
-/// the plain two-argument overload exactly.
-[[nodiscard]] MipResult solve_mip(Model& model, SimplexSolver& solver,
-                                  const MipOptions& options, WarmCutPool* warm);
 
 }  // namespace aspe::opt

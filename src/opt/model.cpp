@@ -20,20 +20,7 @@ std::size_t Model::add_constraint(LinExpr terms, Sense sense, double rhs) {
     require(t.var < vars_.size(), "Model::add_constraint: unknown variable");
   }
   cons_.push_back(Constraint{std::move(terms), sense, rhs});
-  ++row_revision_;
   return cons_.size() - 1;
-}
-
-std::size_t Model::add_cut_row(LinExpr terms, Sense sense, double rhs) {
-  require(sense != Sense::Equal, "Model::add_cut_row: cuts are inequalities");
-  const std::size_t row = add_constraint(std::move(terms), sense, rhs);
-  ++num_cut_rows_;
-  return row;
-}
-
-void Model::record_global_tightening(std::size_t var, double lb, double ub) {
-  set_bounds(var, lb, ub);
-  global_trail_.push_back(GlobalBound{var, lb, ub});
 }
 
 void Model::set_objective(LinExpr objective) {

@@ -41,14 +41,6 @@ struct Constraint {
   double rhs = 0.0;
 };
 
-/// One replayable global bound tightening (root reduced-cost fixing,
-/// depth-0 probe fixing). `lb`/`ub` are the bounds *after* the tightening.
-struct GlobalBound {
-  std::size_t var;
-  double lb;
-  double ub;
-};
-
 /// A linear model: variables with bounds and types, linear constraints, and a
 /// linear objective (minimized by convention; maximize by negating).
 class Model {
@@ -66,12 +58,6 @@ class Model {
   /// Add a constraint; returns its index. Duplicate variable indices in
   /// `terms` are allowed and are summed.
   std::size_t add_constraint(LinExpr terms, Sense sense, double rhs);
-
-  /// Add a cutting-plane row (an inequality valid for every integer-feasible
-  /// point, e.g. a Gomory or cover cut). Identical to add_constraint except
-  /// the row is counted as a cut; a solver mirroring the rows picks it up
-  /// via row_revision / SimplexSolver::append_model_rows.
-  std::size_t add_cut_row(LinExpr terms, Sense sense, double rhs);
 
   /// Set the (minimization) objective. Default objective is 0, which turns
   /// solves into pure feasibility searches.
@@ -105,31 +91,11 @@ class Model {
   /// nothing changed.
   [[nodiscard]] std::uint64_t bound_revision() const { return bound_revision_; }
 
-  /// Monotone counter bumped by every add_constraint / add_cut_row call, so
-  /// a solver mirroring the rows can detect appended cuts cheaply.
-  [[nodiscard]] std::uint64_t row_revision() const { return row_revision_; }
-
-  /// Rows added through add_cut_row (they sit at the end of the row list).
-  [[nodiscard]] std::size_t num_cut_rows() const { return num_cut_rows_; }
-
-  /// Tighten a variable's bounds *globally* — valid for the whole problem,
-  /// not one subtree — and record the change on a replayable trail. Restart-
-  /// based searches replay the trail after abandoning their open tree.
-  void record_global_tightening(std::size_t var, double lb, double ub);
-
-  [[nodiscard]] const std::vector<GlobalBound>& global_bound_trail() const {
-    return global_trail_;
-  }
-  void clear_global_bound_trail() { global_trail_.clear(); }
-
  private:
   std::vector<Variable> vars_;
   std::vector<Constraint> cons_;
   LinExpr objective_;
   std::uint64_t bound_revision_ = 0;
-  std::uint64_t row_revision_ = 0;
-  std::size_t num_cut_rows_ = 0;
-  std::vector<GlobalBound> global_trail_;
 };
 
 }  // namespace aspe::opt

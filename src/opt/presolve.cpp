@@ -140,90 +140,4 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
   return result;
 }
 
-std::optional<BinaryKnapsack> binary_knapsack_relaxation(const Model& model,
-                                                         std::size_t row) {
-  require(row < model.num_constraints(),
-          "binary_knapsack_relaxation: unknown row");
-  const Constraint& c = model.constraint(row);
-  // Orient the row as <=. GreaterEqual is negated; Equal keeps its <= half.
-  const double dir = c.sense == Sense::GreaterEqual ? -1.0 : 1.0;
-
-  // Merge duplicate variable indices first (Model allows and sums them).
-  std::vector<std::size_t> vars;
-  Vec coefs;
-  for (const auto& t : c.terms) {
-    const double a = dir * t.coef;
-    if (a == 0.0) continue;
-    bool merged = false;
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      if (vars[i] == t.var) {
-        coefs[i] += a;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      vars.push_back(t.var);
-      coefs.push_back(a);
-    }
-  }
-
-  BinaryKnapsack ks;
-  ks.capacity = dir * c.rhs;
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    const Variable& v = model.variable(vars[i]);
-    const bool binary = v.type != VarType::Continuous && v.lb >= -1e-9 &&
-                        v.ub <= 1.0 + 1e-9;
-    if (!binary) {
-      // Relax to the term's best case (its minimum over the box); the row
-      // then holds a fortiori for the binary part.
-      const double best =
-          coefs[i] >= 0.0 ? coefs[i] * v.lb : coefs[i] * v.ub;
-      if (!std::isfinite(best)) return std::nullopt;
-      ks.capacity -= best;
-      continue;
-    }
-    if (v.ub - v.lb < 0.5) {
-      // Already fixed: fold the constant in.
-      ks.capacity -= coefs[i] * v.lb;
-      continue;
-    }
-    if (coefs[i] > 0.0) {
-      ks.vars.push_back(vars[i]);
-      ks.weights.push_back(coefs[i]);
-      ks.complemented.push_back(false);
-    } else {
-      // a*x = -|a|*x = |a|*(1-x) - |a|: complement and shift the capacity.
-      ks.vars.push_back(vars[i]);
-      ks.weights.push_back(-coefs[i]);
-      ks.complemented.push_back(true);
-      ks.capacity -= coefs[i];  // capacity += |a|
-    }
-  }
-  if (ks.capacity < -1e-9) return std::nullopt;  // row infeasible or numeric
-
-  // Items whose weight alone exceeds the capacity are forced to zero in
-  // every integer point — peel them off as fixings.
-  for (std::size_t i = 0; i < ks.vars.size();) {
-    if (ks.weights[i] > ks.capacity + 1e-9) {
-      ks.forced_zero_vars.push_back(ks.vars[i]);
-      ks.forced_zero_complemented.push_back(ks.complemented[i]);
-      ks.vars.erase(ks.vars.begin() + static_cast<std::ptrdiff_t>(i));
-      ks.weights.erase(ks.weights.begin() + static_cast<std::ptrdiff_t>(i));
-      ks.complemented.erase(ks.complemented.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-
-  if (ks.vars.size() < 2 && ks.forced_zero_vars.empty()) return std::nullopt;
-  double total = 0.0;
-  for (double w : ks.weights) total += w;
-  if (total <= ks.capacity + 1e-9 && ks.forced_zero_vars.empty()) {
-    return std::nullopt;  // no cover can exceed the capacity
-  }
-  return ks;
-}
-
 }  // namespace aspe::opt

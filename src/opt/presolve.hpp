@@ -10,8 +10,6 @@
 // rhat/that into a narrow box, which shrinks the B&B tree.
 #pragma once
 
-#include <optional>
-
 #include "opt/model.hpp"
 
 namespace aspe::opt {
@@ -39,31 +37,5 @@ struct PresolveOptions {
 /// stable); redundant rows are only counted, infeasibility is only reported.
 [[nodiscard]] PresolveResult presolve(Model& model,
                                       const PresolveOptions& options = {});
-
-/// Pure-binary knapsack relaxation of one model row:
-///   sum_i weight_i * z_i <= capacity,  z_i in {0,1},
-/// where z_i is vars[i] itself or its complement (complemented[i]). Derived
-/// by presolve-style activity analysis: continuous / general-integer terms
-/// are relaxed to their best-case bound contribution, negative binary
-/// coefficients are complemented, and items whose weight alone exceeds the
-/// capacity are dropped into `forced_zero` (z_i = 0 in every integer point —
-/// a coefficient-tightening fact the cut loop can apply as a fixing). Every
-/// integer-feasible point of the model satisfies the relaxation, so covers
-/// separated from it are valid cuts.
-struct BinaryKnapsack {
-  std::vector<std::size_t> vars;
-  std::vector<double> weights;      // positive
-  std::vector<bool> complemented;   // z_i = 1 - x_i
-  std::vector<std::size_t> forced_zero_vars;  // z = 0 forced by capacity
-  std::vector<bool> forced_zero_complemented;
-  double capacity = 0.0;
-};
-
-/// Build the relaxation for `row` (GreaterEqual rows are negated; Equal rows
-/// use their <= half). Returns nullopt when the row has no useful binary
-/// knapsack structure: an unbounded continuous term, fewer than two binary
-/// items, or a capacity no cover can exceed.
-[[nodiscard]] std::optional<BinaryKnapsack> binary_knapsack_relaxation(
-    const Model& model, std::size_t row);
 
 }  // namespace aspe::opt

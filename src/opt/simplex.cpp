@@ -120,138 +120,6 @@ void SimplexSolver::sync_bounds() {
   synced_bound_revision_ = model_.bound_revision();
 }
 
-void SimplexSolver::append_model_rows() {
-  const std::size_t new_m = model_.num_constraints();
-  require(new_m >= m_, "SimplexSolver::append_model_rows: rows removed");
-  if (new_m == m_) return;
-  for (std::size_t i = m_; i < new_m; ++i) {
-    require(model_.constraint(i).sense != Sense::Equal,
-            "SimplexSolver::append_model_rows: appended rows must be "
-            "inequalities");
-  }
-
-  const std::size_t old_m = m_;
-  const std::size_t old_art_begin = art_begin_;
-  const std::size_t old_total = total_;
-  const std::size_t added = new_m - old_m;
-
-  // Structural columns gain one entry per new row.
-  Matrix at2(n_, new_m, 0.0);
-  for (std::size_t j = 0; j < n_; ++j) {
-    for (std::size_t i = 0; i < old_m; ++i) at2(j, i) = at_(j, i);
-  }
-  rhs_.resize(new_m);
-  for (std::size_t i = old_m; i < new_m; ++i) {
-    const Constraint& c = model_.constraint(i);
-    for (const auto& t : c.terms) at2(t.var, i) += t.coef;
-    rhs_[i] = c.rhs;
-    slack_row_.push_back(i);
-    slack_sign_.push_back(c.sense == Sense::LessEqual ? 1.0 : -1.0);
-    rhs_scale_ = std::max(rhs_scale_, std::abs(c.rhs));
-  }
-  at_ = std::move(at2);
-
-  // New layout: the appended slacks extend the slack block in place, which
-  // shifts every artificial column index by `added`.
-  m_ = new_m;
-  art_begin_ = slack_begin_ + slack_row_.size();
-  total_ = art_begin_ + m_;
-  const auto remap = [&](std::size_t j) {
-    return j < old_art_begin ? j : j + (art_begin_ - old_art_begin);
-  };
-
-  std::vector<VarStatus> status2(total_, VarStatus::AtLower);
-  Vec lb2(total_, 0.0), ub2(total_, kInfinity);
-  for (std::size_t j = 0; j < old_total; ++j) {
-    status2[remap(j)] = status_[j];
-    lb2[remap(j)] = lb_[j];
-    ub2[remap(j)] = ub_[j];
-  }
-  for (std::size_t a = 0; a < m_; ++a) {
-    if (arts_pinned_) ub2[art_begin_ + a] = 0.0;
-  }
-  status_ = std::move(status2);
-  lb_ = std::move(lb2);
-  ub_ = std::move(ub2);
-
-  // The basis grows by the new slacks: appending a row whose slack is basic
-  // keeps B invertible (singleton ±1 column) and dual feasible (slack cost
-  // 0), so a warm dual re-solve repairs any violated cut directly.
-  basis_.resize(m_);
-  art_sign_.resize(m_, 1.0);
-  for (std::size_t i = 0; i < old_m; ++i) basis_[i] = remap(basis_[i]);
-  for (std::size_t i = old_m; i < m_; ++i) {
-    const std::size_t slack_col = old_art_begin + (i - old_m);
-    basis_[i] = slack_col;
-    status_[slack_col] = VarStatus::Basic;
-    art_sign_[i] = 1.0;
-  }
-  basis_pos_.assign(total_, npos);
-  for (std::size_t i = 0; i < m_; ++i) basis_pos_[basis_[i]] = i;
-
-  xb_.resize(m_, 0.0);
-  cb_.resize(m_);
-  cost2_.assign(total_, 0.0);
-  weights_.assign(total_, 1.0);
-  binv_ = Matrix::identity(m_);
-  binv_valid_ = false;  // refactorized by the next solve_warm
-  obs::counter_add("simplex.rows_appended", static_cast<double>(added));
-}
-
-std::size_t SimplexSolver::basis_column(std::size_t r) const {
-  require(r < m_, "SimplexSolver::basis_column: bad row");
-  return basis_[r];
-}
-
-std::size_t SimplexSolver::basis_row(std::size_t j) const {
-  require(j < total_, "SimplexSolver::basis_row: bad column");
-  return basis_pos_[j] == npos ? m_ : basis_pos_[j];
-}
-
-VarStatus SimplexSolver::column_status(std::size_t j) const {
-  require(j < total_, "SimplexSolver::column_status: bad column");
-  return status_[j];
-}
-
-double SimplexSolver::column_value(std::size_t j) const {
-  require(j < total_, "SimplexSolver::column_value: bad column");
-  return value(j);
-}
-
-void SimplexSolver::tableau_row(std::size_t r, Vec& alpha,
-                                double& basic_value) const {
-  require(r < m_, "SimplexSolver::tableau_row: bad row");
-  require(factor_valid(), "SimplexSolver::tableau_row: stale factorization");
-  Vec rho(m_);
-  for (std::size_t i = 0; i < m_; ++i) rho[i] = binv_(r, i);
-  alpha.resize(total_);
-  for (std::size_t j = 0; j < total_; ++j) alpha[j] = col_dot(rho, j);
-  basic_value = xb_[r];
-}
-
-Vec SimplexSolver::reduced_costs() const {
-  require(factor_valid(), "SimplexSolver::reduced_costs: stale factorization");
-  Vec cost(total_, 0.0);
-  for (const auto& t : model_.objective()) cost[t.var] += t.coef;
-  Vec cb(m_), y(m_);
-  for (std::size_t i = 0; i < m_; ++i) cb[i] = cost[basis_[i]];
-  linalg::gemv(1.0, binv_.cview(), Op::Transpose, ConstVecView(cb), 0.0,
-               VecView(y));
-  Vec rc(total_);
-  for (std::size_t j = 0; j < total_; ++j) rc[j] = cost[j] - col_dot(y, j);
-  return rc;
-}
-
-std::size_t SimplexSolver::slack_row(std::size_t k) const {
-  require(k < slack_row_.size(), "SimplexSolver::slack_row: bad slack");
-  return slack_row_[k];
-}
-
-double SimplexSolver::slack_sign(std::size_t k) const {
-  require(k < slack_sign_.size(), "SimplexSolver::slack_sign: bad slack");
-  return slack_sign_[k];
-}
-
 double SimplexSolver::lower_bound(std::size_t var) const {
   require(var < n_, "SimplexSolver::lower_bound: unknown variable");
   return lb_[var];
@@ -267,7 +135,6 @@ void SimplexSolver::reset_to_artificial_basis() {
   // the residual and form the initial basis.
   status_.assign(total_, VarStatus::AtLower);
   for (std::size_t a = 0; a < m_; ++a) ub_[art_begin_ + a] = kInfinity;
-  arts_pinned_ = false;
 
   Vec residual = rhs_;
   for (std::size_t j = 0; j < n_; ++j) {
@@ -288,6 +155,16 @@ void SimplexSolver::reset_to_artificial_basis() {
   for (std::size_t i = 0; i < m_; ++i) binv_(i, i) = art_sign_[i];
   binv_valid_ = true;
   pivots_since_refactor_ = 0;
+}
+
+void SimplexSolver::pin_artificials() {
+  for (std::size_t a = 0; a < m_; ++a) {
+    ub_[art_begin_ + a] = 0.0;
+    // A nonbasic artificial must sit at a bound; both bounds are now 0.
+    if (status_[art_begin_ + a] == VarStatus::AtUpper) {
+      status_[art_begin_ + a] = VarStatus::AtLower;
+    }
+  }
 }
 
 void SimplexSolver::rebuild_phase2_cost() {
@@ -722,14 +599,7 @@ LpResult SimplexSolver::solve() {
   }
 
   // ---- Phase 2: the real objective, artificials pinned to zero. ----
-  for (std::size_t a = 0; a < m_; ++a) {
-    ub_[art_begin_ + a] = 0.0;
-    // A nonbasic artificial must sit at a bound; both bounds are now 0.
-    if (status_[art_begin_ + a] == VarStatus::AtUpper) {
-      status_[art_begin_ + a] = VarStatus::AtLower;
-    }
-  }
-  arts_pinned_ = true;
+  pin_artificials();
   rebuild_phase2_cost();
   const LpStatus s2 = optimize(cost2_, iterations);
   if (s2 == LpStatus::Optimal) have_basis_ = true;
@@ -814,13 +684,7 @@ void SimplexSolver::restore(const BasisState& state) {
 
 void SimplexSolver::warm_attach(const BasisState& state) {
   restore(state);
-  for (std::size_t a = 0; a < m_; ++a) {
-    ub_[art_begin_ + a] = 0.0;
-    if (status_[art_begin_ + a] == VarStatus::AtUpper) {
-      status_[art_begin_ + a] = VarStatus::AtLower;
-    }
-  }
-  arts_pinned_ = true;
+  pin_artificials();
 }
 
 LpResult solve_lp(const Model& model, const SimplexOptions& options) {

@@ -99,15 +99,6 @@ class SimplexSolver {
   /// bound revision matches the last sync.
   void sync_bounds();
 
-  /// Mirror rows appended to the model since construction (the root cut
-  /// loop's ≤/≥ cut rows; Equal rows are rejected). The current basis stays
-  /// valid: each new row's slack enters the basis, so a subsequent
-  /// solve_warm repairs the (likely violated) cut rows by the dual simplex.
-  /// Outstanding BasisState snapshots taken *before* the append become
-  /// shape-incompatible and must not be restored. No-op when the model has
-  /// no new rows.
-  void append_model_rows();
-
   [[nodiscard]] double lower_bound(std::size_t var) const;
   [[nodiscard]] double upper_bound(std::size_t var) const;
 
@@ -142,56 +133,13 @@ class SimplexSolver {
 
   [[nodiscard]] const SolverStats& stats() const { return stats_; }
 
-  [[nodiscard]] std::size_t num_structural() const { return n_; }
-  [[nodiscard]] std::size_t num_rows() const { return m_; }
-  [[nodiscard]] std::size_t num_columns() const { return total_; }
-  [[nodiscard]] std::size_t num_slacks() const {
-    return art_begin_ - slack_begin_;
-  }
-
-  // --- optimal-tableau introspection (cut separation, rc propagation) -----
-  //
-  // Valid right after a successful solve/solve_warm, while the factorization
-  // is current (factor_valid()); a restore() invalidates it until the next
-  // warm solve.
-
-  /// True while B^{-1} matches the current basis.
-  [[nodiscard]] bool factor_valid() const { return have_basis_ && binv_valid_; }
-
-  /// Basic column of tableau row r.
-  [[nodiscard]] std::size_t basis_column(std::size_t r) const;
-
-  /// Row of B^{-1} containing column j, or num_rows() when j is nonbasic.
-  [[nodiscard]] std::size_t basis_row(std::size_t j) const;
-
-  /// Status of any column (structural, slack or artificial).
-  [[nodiscard]] VarStatus column_status(std::size_t j) const;
-
-  /// Current value of any column (bound value when nonbasic, basic value
-  /// otherwise).
-  [[nodiscard]] double column_value(std::size_t j) const;
-
-  /// Tableau row r of the current factorization: alpha_j = (e_r^T B^{-1}) A_j
-  /// for every column j (size num_columns()), plus the row's basic value.
-  /// Requires factor_valid().
-  void tableau_row(std::size_t r, Vec& alpha, double& basic_value) const;
-
-  /// Reduced cost of every column under the model's current objective
-  /// (size num_columns(); zero on basic columns up to round-off). Requires
-  /// factor_valid().
-  [[nodiscard]] Vec reduced_costs() const;
-
-  /// Constraint row / sign of slack column `slack_begin() + k`.
-  [[nodiscard]] std::size_t slack_row(std::size_t k) const;
-  [[nodiscard]] double slack_sign(std::size_t k) const;
-  [[nodiscard]] std::size_t slack_begin() const { return slack_begin_; }
-  [[nodiscard]] std::size_t artificial_begin() const { return art_begin_; }
-
  private:
   enum class StepStatus : std::uint8_t { Ok, Optimal, Infeasible, Unbounded };
 
   void build();
   void reset_to_artificial_basis();
+  /// Fix every artificial column to zero (phase 2 and attached bases).
+  void pin_artificials();
   void rebuild_phase2_cost();
   [[nodiscard]] double value(std::size_t j) const;
   [[nodiscard]] double col_dot(const Vec& y, std::size_t j) const;
@@ -234,7 +182,6 @@ class SimplexSolver {
 
   bool have_basis_ = false;
   bool binv_valid_ = false;
-  bool arts_pinned_ = false;  // artificials fixed to 0 (post phase 1)
   std::size_t pivots_since_refactor_ = 0;
   std::uint64_t synced_bound_revision_ = 0;
   SolverStats stats_;

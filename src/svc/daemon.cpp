@@ -366,8 +366,10 @@ void Daemon::run_snmf_batch(std::vector<std::shared_ptr<Job>> jobs) {
     // context, so the demuxed results are bit-identical to solo runs.
     const auto& proto = std::get<core::SnmfRequest>(live.front()->request.request);
     std::string db_fp, td_fp;
-    const core::CorpusRef db = resolve_ciphers(proto.db, &db_fp);
-    const core::CorpusRef td = resolve_ciphers(proto.trapdoors, &td_fp);
+    const core::CorpusRef db =
+        resolve_corpus(proto.db, CorpusKind::Ciphers, &db_fp);
+    const core::CorpusRef td =
+        resolve_corpus(proto.trapdoors, CorpusKind::Ciphers, &td_fp);
     if (db_fp.empty() || td_fp.empty()) {
       throw core::Error(core::ErrorCode::BadInput,
                         "snmf batch: corpus has no stable identity");
@@ -411,12 +413,7 @@ void Daemon::run_snmf_batch(std::vector<std::shared_ptr<Job>> jobs) {
             throw core::Error(core::ErrorCode::NotReady,
                               "snmf: rank estimation found a zero matrix");
           }
-          std::lock_guard<std::mutex> lk(cache_mu_);
-          if (rank_cache_.size() >= options_.max_cache_entries &&
-              rank_cache_.count(rank_key) == 0) {
-            rank_cache_.clear();
-          }
-          rank_cache_[rank_key] = rank;
+          cache_rank(rank_key, rank);
         }
         opts.rank = rank;
         estimated[i] = rank;
@@ -509,80 +506,61 @@ DaemonStats Daemon::stats() const {
 
 // ------------------------------------------------------------- warm caches
 
-core::CorpusRef Daemon::resolve_ciphers(const core::CorpusRef& ref,
-                                        std::string* fingerprint_out) {
+core::CorpusRef Daemon::resolve_corpus(const core::CorpusRef& ref,
+                                       CorpusKind kind,
+                                       std::string* fingerprint_out) {
   if (fingerprint_out != nullptr) fingerprint_out->clear();
   if (ref.ciphers != nullptr || ref.vecs != nullptr || ref.path.empty()) {
     return ref;  // inline (no stable identity) or empty (dispatch validates)
   }
   const auto fp = stat_fingerprint(ref.path);
   if (!fp) return ref;  // unreadable: let the loader raise the io error
+  const bool ciphers = kind == CorpusKind::Ciphers;
+  core::CorpusRef out;
   {
     std::lock_guard<std::mutex> lk(cache_mu_);
     const auto it = corpus_cache_.find(ref.path);
-    if (it != corpus_cache_.end() && it->second.fingerprint == *fp &&
-        it->second.ciphers != nullptr) {
-      corpus_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (fingerprint_out != nullptr) *fingerprint_out = *fp;
-      core::CorpusRef out;
-      out.ciphers = it->second.ciphers;
-      return out;
+    if (it != corpus_cache_.end() && it->second.fingerprint == *fp) {
+      if (ciphers) {
+        out.ciphers = it->second.ciphers;
+      } else {
+        out.vecs = it->second.vecs;
+      }
     }
   }
-  auto loaded = ref.load_ciphers("corpus");
-  {
+  if (out.ciphers != nullptr || out.vecs != nullptr) {
+    corpus_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    if (ciphers) {
+      out.ciphers = ref.load_ciphers("corpus");
+    } else {
+      out.vecs = ref.load_vecs("corpus");
+    }
     std::lock_guard<std::mutex> lk(cache_mu_);
     if (corpus_cache_.size() >= options_.max_cache_entries &&
         corpus_cache_.count(ref.path) == 0) {
       corpus_cache_.clear();
     }
     auto& entry = corpus_cache_[ref.path];
-    if (entry.fingerprint != *fp) entry.vecs.reset();  // file changed on disk
+    if (entry.fingerprint != *fp) entry = CorpusEntry{};  // file changed
     entry.fingerprint = *fp;
-    entry.ciphers = loaded;
+    if (ciphers) {
+      entry.ciphers = out.ciphers;
+    } else {
+      entry.vecs = out.vecs;
+    }
   }
   if (fingerprint_out != nullptr) *fingerprint_out = *fp;
-  core::CorpusRef out;
-  out.ciphers = std::move(loaded);
   return out;
 }
 
-core::CorpusRef Daemon::resolve_vecs(const core::CorpusRef& ref,
-                                     std::string* fingerprint_out) {
-  if (fingerprint_out != nullptr) fingerprint_out->clear();
-  if (ref.ciphers != nullptr || ref.vecs != nullptr || ref.path.empty()) {
-    return ref;
+void Daemon::cache_rank(const std::string& key, std::size_t rank) {
+  std::lock_guard<std::mutex> lk(cache_mu_);
+  if (rank_cache_.size() >= options_.max_cache_entries &&
+      rank_cache_.count(key) == 0) {
+    rank_cache_.clear();
   }
-  const auto fp = stat_fingerprint(ref.path);
-  if (!fp) return ref;
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    const auto it = corpus_cache_.find(ref.path);
-    if (it != corpus_cache_.end() && it->second.fingerprint == *fp &&
-        it->second.vecs != nullptr) {
-      corpus_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (fingerprint_out != nullptr) *fingerprint_out = *fp;
-      core::CorpusRef out;
-      out.vecs = it->second.vecs;
-      return out;
-    }
-  }
-  auto loaded = ref.load_vecs("corpus");
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (corpus_cache_.size() >= options_.max_cache_entries &&
-        corpus_cache_.count(ref.path) == 0) {
-      corpus_cache_.clear();
-    }
-    auto& entry = corpus_cache_[ref.path];
-    if (entry.fingerprint != *fp) entry.ciphers.reset();
-    entry.fingerprint = *fp;
-    entry.vecs = loaded;
-  }
-  if (fingerprint_out != nullptr) *fingerprint_out = *fp;
-  core::CorpusRef out;
-  out.vecs = std::move(loaded);
-  return out;
+  rank_cache_[key] = rank;
 }
 
 // --------------------------------------------------------------- execution
@@ -611,9 +589,11 @@ core::AttackResponse Daemon::execute_resolved(
         if constexpr (std::is_same_v<T, core::LepRequest>) {
           core::LepRequest r = typed;
           std::string kp_fp, db_fp, td_fp;
-          r.known_plain = resolve_vecs(typed.known_plain, &kp_fp);
-          r.db = resolve_ciphers(typed.db, &db_fp);
-          r.trapdoors = resolve_ciphers(typed.trapdoors, &td_fp);
+          r.known_plain =
+              resolve_corpus(typed.known_plain, CorpusKind::Vecs, &kp_fp);
+          r.db = resolve_corpus(typed.db, CorpusKind::Ciphers, &db_fp);
+          r.trapdoors =
+              resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, &td_fp);
           if (!kp_fp.empty() && !db_fp.empty() && !td_fp.empty()) {
             std::ostringstream key;
             key << kp_fp << '#' << db_fp << '#' << td_fp
@@ -626,17 +606,19 @@ core::AttackResponse Daemon::execute_resolved(
         } else if constexpr (std::is_same_v<T, core::MipRequest>) {
           core::MipRequest r = typed;
           std::string kp_fp, db_fp, td_fp;
-          r.known_plain = resolve_vecs(typed.known_plain, &kp_fp);
-          r.db = resolve_ciphers(typed.db, &db_fp);
-          r.trapdoors = resolve_ciphers(typed.trapdoors, &td_fp);
+          r.known_plain =
+              resolve_corpus(typed.known_plain, CorpusKind::Vecs, &kp_fp);
+          r.db = resolve_corpus(typed.db, CorpusKind::Ciphers, &db_fp);
+          r.trapdoors =
+              resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, &td_fp);
           const bool identified =
               !kp_fp.empty() && !db_fp.empty() && !td_fp.empty();
           core::AttackRequest resolved;
           resolved.request = std::move(r);
           if (!identified) return core::dispatch_attack(resolved, ctx);
           // Persistent MIP basis cache: repeated jobs over the same corpora
-          // and parameters warm-start the root LP and reuse the root cut
-          // pool. run_mip_attack self-invalidates on model-digest mismatch,
+          // and parameters warm-start the root LP from the cached basis.
+          // run_mip_attack self-invalidates on model-digest mismatch,
           // so the parameter key only scopes contention; correctness never
           // depends on it. The entry mutex serializes the whole attack per
           // key — two identical jobs never race on the shared basis.
@@ -667,8 +649,9 @@ core::AttackResponse Daemon::execute_resolved(
         } else {
           core::SnmfRequest r = typed;
           std::string db_fp, td_fp;
-          r.db = resolve_ciphers(typed.db, &db_fp);
-          r.trapdoors = resolve_ciphers(typed.trapdoors, &td_fp);
+          r.db = resolve_corpus(typed.db, CorpusKind::Ciphers, &db_fp);
+          r.trapdoors =
+              resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, &td_fp);
           const bool identified = !db_fp.empty() && !td_fp.empty();
           if (r.reuse_session && identified) {
             std::ostringstream key;
@@ -727,14 +710,7 @@ core::AttackResponse Daemon::execute_resolved(
           if (!rank_key.empty() && out.ok()) {
             const auto rank = static_cast<std::size_t>(
                 out.telemetry.counter("snmf.estimated_rank"));
-            if (rank > 0) {
-              std::lock_guard<std::mutex> lk(cache_mu_);
-              if (rank_cache_.size() >= options_.max_cache_entries &&
-                  rank_cache_.count(rank_key) == 0) {
-                rank_cache_.clear();
-              }
-              rank_cache_[rank_key] = rank;
-            }
+            if (rank > 0) cache_rank(rank_key, rank);
           }
           return out;
         }

@@ -160,7 +160,7 @@ class Daemon {
     std::shared_ptr<const std::vector<scheme::CipherPair>> ciphers;
     std::shared_ptr<const std::vector<Vec>> vecs;
   };
-  /// One persistent MIP warm state (root basis + cut pool). Serialized per
+  /// One persistent MIP warm state (the root-LP basis). Serialized per
   /// key: the entry mutex is held across the whole attack, so two identical
   /// MIP jobs never race on the shared basis.
   struct MipBasisEntry {
@@ -180,14 +180,18 @@ class Daemon {
   [[nodiscard]] core::AttackResponse refused(core::ErrorCode code,
                                              const std::string& message) const;
 
-  /// Resolve a path ref through the corpus cache (stat-validated). Returns
-  /// the ref unchanged when it is inline already. `fingerprint_out`, when
-  /// non-null, receives the corpus identity string ("" for inline refs —
-  /// no stable identity, so no session/rank caching).
-  core::CorpusRef resolve_ciphers(const core::CorpusRef& ref,
-                                  std::string* fingerprint_out);
-  core::CorpusRef resolve_vecs(const core::CorpusRef& ref,
-                               std::string* fingerprint_out);
+  enum class CorpusKind { Ciphers, Vecs };
+
+  /// Resolve a path ref through the corpus cache (stat-validated), loading
+  /// it as `kind` on a miss. Returns the ref unchanged when it is inline
+  /// already. `fingerprint_out`, when non-null, receives the corpus identity
+  /// string ("" for inline refs — no stable identity, so no session/rank
+  /// caching).
+  core::CorpusRef resolve_corpus(const core::CorpusRef& ref, CorpusKind kind,
+                                 std::string* fingerprint_out);
+
+  /// Insert a rank estimate, clearing the rank cache first when it is full.
+  void cache_rank(const std::string& key, std::size_t rank);
 
   [[nodiscard]] core::AttackResponse execute_resolved(
       const core::AttackRequest& request, const JobOptions& options);

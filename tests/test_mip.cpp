@@ -185,5 +185,36 @@ TEST(Mip, OptimalityMatchesExhaustiveEnumeration) {
   }
 }
 
+TEST(Mip, DefaultOptionsAreBitwiseDeterministic) {
+  // Two runs of the warm-started DFS must agree on every count and every
+  // solution bit.
+  rng::Rng rng(61);
+  const std::size_t n = 14;
+  Model m;
+  LinExpr sum;
+  for (std::size_t j = 0; j < n; ++j) {
+    m.add_binary();
+    sum.push_back({j, rng.uniform(0.9, 1.1)});
+  }
+  m.add_constraint(sum, Sense::LessEqual, 6.3);
+  m.add_constraint(sum, Sense::GreaterEqual, 5.7);
+  LinExpr obj;
+  for (std::size_t j = 0; j < n; ++j) {
+    obj.push_back({j, std::round(rng.uniform(-4.0, 4.0))});
+  }
+  m.set_objective(obj);
+  const MipOptions o;
+  const MipResult a = solve_mip(m, o);
+  const MipResult b = solve_mip(m, o);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.nodes_explored, b.nodes_explored);
+  EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
+  EXPECT_EQ(a.objective, b.objective);
+  if (a.has_solution()) {
+    ASSERT_EQ(a.x.size(), b.x.size());
+    for (std::size_t j = 0; j < a.x.size(); ++j) EXPECT_EQ(a.x[j], b.x[j]);
+  }
+}
+
 }  // namespace
 }  // namespace aspe::opt

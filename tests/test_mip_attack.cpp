@@ -158,5 +158,45 @@ TEST(MipAttack, Validation) {
                InvalidArgument);  // trapdoor id out of range
 }
 
+TEST(MipAttack, BranchAndBoundFallbackIsWarmColdAndThreadInvariant) {
+  // A tight band (l = 1) makes the primal heuristic miss on these instances,
+  // so branch and bound answers from the solver the heuristic's root LP left
+  // behind. A job that attaches a cached root basis, and a job at 8 threads,
+  // must reproduce the cold serial answer and B&B counters bit for bit.
+  std::size_t fallbacks = 0;
+  for (const std::uint64_t seed : {1u, 5u, 25u}) {
+    const Scenario s = make_scenario(12, 12, 0.2, 0.5, 4, seed);
+    MipAttackOptions opt = fast_options();
+    opt.l = 1.0;
+    const auto& td = s.view.observed.cipher_trapdoors[0];
+    ExecContext serial;
+    serial.threads = 1;
+    ExecContext wide;
+    wide.threads = 8;
+    MipWarmState state;
+    const MipAttackResult cold = run_mip_attack(
+        s.view.known_pairs, td, s.mu, s.sigma, opt, serial, &state);
+    ASSERT_TRUE(state.has_root_basis) << "seed " << seed;
+    const MipAttackResult warm = run_mip_attack(
+        s.view.known_pairs, td, s.mu, s.sigma, opt, serial, &state);
+    const MipAttackResult threaded =
+        run_mip_attack(s.view, 0, s.mu, s.sigma, opt, wide);
+    if (cold.status == opt::MipStatus::Heuristic) continue;
+    ++fallbacks;
+    for (const MipAttackResult* other : {&warm, &threaded}) {
+      EXPECT_EQ(other->status, cold.status) << "seed " << seed;
+      EXPECT_EQ(other->found, cold.found) << "seed " << seed;
+      EXPECT_EQ(other->query, cold.query) << "seed " << seed;
+      EXPECT_EQ(other->rhat, cold.rhat) << "seed " << seed;
+      EXPECT_EQ(other->that, cold.that) << "seed " << seed;
+      for (const char* name : {"mip.bnb.nodes", "mip.bnb.simplex_iterations"}) {
+        EXPECT_EQ(other->telemetry.counter(name), cold.telemetry.counter(name))
+            << name << " seed " << seed;
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0u) << "no instance reached branch and bound";
+}
+
 }  // namespace
 }  // namespace aspe::core

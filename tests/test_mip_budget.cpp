@@ -1,7 +1,6 @@
 // NodeLimit / TimeLimit interaction tests: reported MipStatus, incumbent
 // validity when a budget truncates the search, telemetry counters, and
-// budgets tripping mid-dive and mid-cut-loop — at 1 and 8 threads for the
-// attack driver.
+// budgets tripping mid-dive — at 1 and 8 threads for the attack driver.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -95,41 +94,6 @@ TEST(MipBudget, ZeroTimeLimitTripsBeforeAnyNode) {
   EXPECT_FALSE(r.has_solution());
 }
 
-TEST(MipBudget, ZeroTimeLimitTripsMidCutLoop) {
-  // With cuts enabled, the root cut loop checks the clock before its first
-  // LP re-solve: an exhausted budget must abort the loop with no cuts
-  // appended, and the run reports TimeLimit rather than hanging in rounds.
-  Model m = hard_split_model(20, 13);
-  const std::size_t rows_before = m.num_constraints();
-  MipOptions o;
-  o.first_feasible = true;
-  o.gomory_cuts = true;
-  o.cover_cuts = true;
-  o.time_limit_seconds = 0.0;
-  SimplexSolver solver(m, o.lp);
-  const MipResult r = solve_mip(m, solver, o);
-  EXPECT_EQ(r.status, MipStatus::TimeLimit);
-  EXPECT_EQ(r.cuts_added, 0u);
-  EXPECT_EQ(m.num_constraints(), rows_before);
-  EXPECT_EQ(r.nodes_explored, 0u);
-}
-
-TEST(MipBudget, NodeLimitCountsRestartNodesAgainstTheBudget) {
-  // Restart bookkeeping must not let the search exceed max_nodes.
-  const Model m = hard_split_model(22, 21);
-  MipOptions o;
-  o.first_feasible = true;
-  o.restarts = true;
-  o.restart_interval = 8;
-  o.max_restarts = 2;
-  o.max_nodes = 50;
-  const MipResult r = solve_mip(m, o);
-  EXPECT_FALSE(r.has_solution());
-  EXPECT_LE(r.nodes_explored, o.max_nodes);
-  EXPECT_TRUE(r.status == MipStatus::NodeLimit ||
-              r.status == MipStatus::Infeasible);
-}
-
 }  // namespace
 }  // namespace aspe::opt
 
@@ -195,7 +159,6 @@ TEST(MipBudget, AttackZeroTimeBudgetReportsTimeLimit) {
   EXPECT_FALSE(res.found);
   EXPECT_EQ(res.status, opt::MipStatus::TimeLimit);
   EXPECT_EQ(res.telemetry.counter("mip.bnb.nodes"), 0.0);
-  EXPECT_EQ(res.telemetry.counter("mip.cuts_added"), 0.0);
 }
 
 TEST(MipBudget, TruncatedAttackIsThreadCountInvariant) {
@@ -220,9 +183,7 @@ TEST(MipBudget, TruncatedAttackIsThreadCountInvariant) {
     EXPECT_EQ(a.query[k], b.query[k]) << "bit " << k;
   }
   for (const char* name :
-       {"mip.bnb.nodes", "mip.bnb.simplex_iterations", "mip.cuts_added",
-        "mip.rc_fixings", "mip.strong_branches", "mip.restarts",
-        "mip.model_rows"}) {
+       {"mip.bnb.nodes", "mip.bnb.simplex_iterations", "mip.model_rows"}) {
     EXPECT_EQ(a.telemetry.counter(name), b.telemetry.counter(name)) << name;
   }
 }

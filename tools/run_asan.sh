@@ -49,13 +49,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "CoaSession|LepSession|IncrementalSvd|NmfResume|CorpusRefresh"
 
-# Sixth pre-pass over the MIP propagation stack: cut rows appended into a
-# live simplex (tableau introspection walks B^-1 row by row), node-path
-# linked lists rewound and replayed across subtree switches, and
-# strong-branching probes that snapshot/restore bases — the newest
-# pointer-heavy code (PR 8), surfaced in seconds.
+# Sixth pre-pass over the branch-and-bound solver: the bound trail rewound
+# on backtrack, shared basis snapshots restored across dives, and presolve
+# tightening bounds in place, surfaced in seconds.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "MipPropagation|MipBudget|Mip\.|Presolve"
+  -R "MipBudget|Mip\.|Presolve"
 
 # Seventh pre-pass over the svc daemon: framed protocol decoding walks
 # attacker-controlled length prefixes, connection handlers hand shared_ptr

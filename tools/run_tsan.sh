@@ -44,12 +44,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "CoaSession|LepSession|IncrementalSvd|NmfResume|CorpusRefresh"
 
-# Sixth pre-pass: the MIP propagation stack is serial by design, and the
-# budget suite asserts bit-identical truncated attacks at 1 vs 8 threads —
-# the exact property a racing counter or shared pseudo-cost array would
-# break under TSan first.
+# Sixth pre-pass: branch and bound is serial by design, and the budget
+# suite asserts bit-identical truncated attacks at 1 vs 8 threads — the
+# exact property a racing counter would break under TSan first.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "MipPropagation|MipBudget"
+  -R "MipBudget"
 
 # Seventh pre-pass: the batching scheduler — fused SNMF sweeps demuxed to
 # concurrent waiters, the refcounted score-matrix cache with its building

@@ -1,5 +1,6 @@
 #include "linalg/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -85,11 +86,44 @@ void LuDecomposition::solve_into(ConstVecView b, VecView x) const {
 }
 
 Matrix LuDecomposition::solve(const Matrix& b) const {
-  require(b.rows() == dim(), "LuDecomposition::solve: dimension mismatch");
-  // Column views on both sides: no per-column copies in or out.
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    solve_into(b.col_view(c), x.col_view(c));
+  const std::size_t n = dim();
+  require(b.rows() == n, "LuDecomposition::solve: dimension mismatch");
+  if (singular_) {
+    throw NumericalError("LuDecomposition::solve: matrix is singular");
+  }
+  // Row-oriented substitution over all right-hand sides at once: row i of X
+  // is updated by whole contiguous rows, skipping exact-zero L/U entries.
+  // Every element still receives the sum solve_into's dot gives it — same
+  // terms, same ascending order, starting from +0 — minus exact-zero terms,
+  // which cannot change a sum that starts at +0. So each column of X is
+  // bitwise what solve_into would return for it (for finite data).
+  const std::size_t k = b.cols();
+  Matrix x(n, k, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = lu_.row_ptr(i);
+    double* xi = x.row_ptr(i);  // accumulates sum_j L_ij y_j, then y_i
+    for (std::size_t j = 0; j < i; ++j) {
+      const double l = li[j];
+      if (l == 0.0) continue;
+      const double* xj = x.row_ptr(j);
+      for (std::size_t c = 0; c < k; ++c) xi[c] += l * xj[c];
+    }
+    const double* bi = b.row_ptr(perm_[i]);
+    for (std::size_t c = 0; c < k; ++c) xi[c] = bi[c] - xi[c];
+  }
+  Vec acc(k);
+  for (std::size_t i = n; i-- > 0;) {
+    const double* ui = lu_.row_ptr(i);
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double u = ui[j];
+      if (u == 0.0) continue;
+      const double* xj = x.row_ptr(j);
+      for (std::size_t c = 0; c < k; ++c) acc[c] += u * xj[c];
+    }
+    double* xi = x.row_ptr(i);
+    const double pivot = ui[i];
+    for (std::size_t c = 0; c < k; ++c) xi[c] = (xi[c] - acc[c]) / pivot;
   }
   return x;
 }

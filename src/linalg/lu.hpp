@@ -28,7 +28,8 @@ class LuDecomposition {
   /// they must not alias each other).
   void solve_into(ConstVecView b, VecView x) const;
 
-  /// Solve A X = B column by column (via column views, no copies).
+  /// Solve A X = B for every column of B at once (row-oriented). Each
+  /// column is bitwise equal to what solve_into returns for it.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
   /// A^{-1} (throws NumericalError when singular).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
@@ -52,15 +54,23 @@ void SimplexSolver::build() {
   require(n_ > 0, "SimplexSolver: model has no variables");
   require(m_ > 0, "SimplexSolver: model has no constraints");
 
-  // Structural columns: row j of at_ is column j of A (contiguous, so
-  // pricing and ratio-test read it through row views).
-  at_ = Matrix(n_, m_, 0.0);
+  // Structural columns, sparse with ascending rows. Duplicate terms of a
+  // row are summed in term order and exact-zero sums dropped, so the stored
+  // values are exactly the nonzeros of the dense column they stand for.
+  std::vector<std::vector<std::pair<std::size_t, double>>> cols(n_);
   rhs_.resize(m_);
   slack_row_.clear();
   slack_sign_.clear();
   for (std::size_t i = 0; i < m_; ++i) {
     const Constraint& c = model_.constraint(i);
-    for (const auto& t : c.terms) at_(t.var, i) += t.coef;
+    for (const auto& t : c.terms) {
+      auto& col = cols[t.var];
+      if (!col.empty() && col.back().first == i) {
+        col.back().second += t.coef;
+      } else {
+        col.emplace_back(i, t.coef);
+      }
+    }
     rhs_[i] = c.rhs;
     if (c.sense == Sense::LessEqual) {
       slack_row_.push_back(i);
@@ -69,6 +79,17 @@ void SimplexSolver::build() {
       slack_row_.push_back(i);
       slack_sign_.push_back(-1.0);
     }
+  }
+  col_start_.assign(1, 0);
+  col_row_.clear();
+  col_val_.clear();
+  for (const auto& col : cols) {
+    for (const auto& [row, v] : col) {
+      if (v == 0.0) continue;
+      col_row_.push_back(row);
+      col_val_.push_back(v);
+    }
+    col_start_.push_back(col_row_.size());
   }
   slack_begin_ = n_;
   art_begin_ = n_ + slack_row_.size();
@@ -90,6 +111,7 @@ void SimplexSolver::build() {
   basis_pos_.assign(total_, npos);
   xb_.resize(m_);
   cb_.resize(m_);
+  d_.resize(m_);
   cost2_.assign(total_, 0.0);
   weights_.assign(total_, 1.0);
   status_.assign(total_, VarStatus::AtLower);
@@ -139,7 +161,7 @@ void SimplexSolver::reset_to_artificial_basis() {
   Vec residual = rhs_;
   for (std::size_t j = 0; j < n_; ++j) {
     if (lb_[j] == 0.0) continue;
-    linalg::axpy(-lb_[j], at_.row_view(j), VecView(residual));
+    add_structural(-lb_[j], j, residual);
   }
   basis_pos_.assign(total_, npos);
   for (std::size_t i = 0; i < m_; ++i) {
@@ -172,12 +194,11 @@ void SimplexSolver::rebuild_phase2_cost() {
   for (const auto& t : model_.objective()) cost2_[t.var] += t.coef;
 }
 
-// Column j of the full constraint matrix, materialized on demand.
-// Slack/artificial columns are singletons; avoid storing them densely.
+// Column j of the full constraint matrix, read on demand: structural
+// columns from the sparse store in ascending row order, slack/artificial
+// columns as signed singletons.
 double SimplexSolver::col_dot(const Vec& y, std::size_t j) const {
-  if (j < n_) {
-    return linalg::dot(ConstVecView(y), at_.row_view(j));
-  }
+  if (j < n_) return structural_dot(y.data(), j);
   if (j < art_begin_) {
     const std::size_t k = j - slack_begin_;
     return slack_sign_[k] * y[slack_row_[k]];
@@ -186,12 +207,28 @@ double SimplexSolver::col_dot(const Vec& y, std::size_t j) const {
   return art_sign_[k] * y[k];
 }
 
-// d = B^{-1} A_j.
-Vec SimplexSolver::compute_d(std::size_t j) const {
-  Vec d(m_, 0.0);
+double SimplexSolver::structural_dot(const double* y, std::size_t j) const {
+  double s = 0.0;
+  for (std::size_t p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+    s += y[col_row_[p]] * col_val_[p];
+  }
+  return s;
+}
+
+void SimplexSolver::add_structural(double alpha, std::size_t j,
+                                   Vec& v) const {
+  for (std::size_t p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+    v[col_row_[p]] += alpha * col_val_[p];
+  }
+}
+
+// d = B^{-1} A_j, into the solver's scratch d_.
+const Vec& SimplexSolver::compute_d(std::size_t j) {
+  Vec& d = d_;
   if (j < n_) {
-    linalg::gemv(1.0, binv_.cview(), Op::None, at_.row_view(j), 0.0,
-                 VecView(d));
+    for (std::size_t i = 0; i < m_; ++i) {
+      d[i] = structural_dot(binv_.row_ptr(i), j);
+    }
   } else if (j < art_begin_) {
     const std::size_t k = j - slack_begin_;
     const std::size_t row = slack_row_[k];
@@ -225,7 +262,7 @@ void SimplexSolver::recompute_xb() {
     const double v = status_[j] == VarStatus::AtUpper ? ub_[j] : lb_[j];
     if (v == 0.0) continue;
     if (j < n_) {
-      linalg::axpy(-v, at_.row_view(j), VecView(residual));
+      add_structural(-v, j, residual);
     } else if (j < art_begin_) {
       const std::size_t k = j - slack_begin_;
       residual[slack_row_[k]] -= v * slack_sign_[k];
@@ -240,11 +277,14 @@ void SimplexSolver::recompute_xb() {
 bool SimplexSolver::refactorize() {
   // Rebuild B^{-1} densely from the basis columns (LU with partial
   // pivoting), discarding the drift accumulated by the eta-style updates.
+  obs::Span span("simplex/refactorize");
   Matrix b(m_, m_, 0.0);
   for (std::size_t i = 0; i < m_; ++i) {
     const std::size_t j = basis_[i];
     if (j < n_) {
-      for (std::size_t k = 0; k < m_; ++k) b(k, i) = at_(j, k);
+      for (std::size_t p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+        b(col_row_[p], i) = col_val_[p];
+      }
     } else if (j < art_begin_) {
       const std::size_t k = j - slack_begin_;
       b(slack_row_[k], i) = slack_sign_[k];
@@ -355,7 +395,7 @@ LpStatus SimplexSolver::optimize(const Vec& cost,
     }
     if (entering == total_) return LpStatus::Optimal;
 
-    const Vec d = compute_d(entering);
+    const Vec& d = compute_d(entering);
 
     // Ratio test. Moving the entering variable by t in direction enter_dir
     // changes basic values by -t * enter_dir * d. A row tying the current
@@ -528,7 +568,7 @@ LpStatus SimplexSolver::dual_optimize(std::size_t& iteration_counter) {
       return LpStatus::Infeasible;
     }
 
-    const Vec d = compute_d(entering);
+    const Vec& d = compute_d(entering);
     const double pivot = d[r];
     if (std::abs(pivot) < 1e-11) {
       // rho and B^{-1} A_j disagree numerically: refactorize and retry; a

@@ -1,8 +1,10 @@
-// Bounded-variable simplex (dense revised form) with warm starts.
+// Bounded-variable simplex (revised form, dense B^{-1}) with warm starts.
 //
 // Solves the LP relaxations for the branch-and-bound MIP solver. Variables
 // carry individual [lb, ub] bounds (lb finite; ub may be +inf), so binary
-// branching does not blow up the row count.
+// branching does not blow up the row count. Structural columns are stored
+// sparse (ascending rows) and slack/artificial columns implicitly; every
+// product with a column reads only its nonzeros, in ascending row order.
 //
 // The solver is persistent and re-entrant: `SimplexSolver` builds the
 // constraint matrix once and then supports
@@ -15,6 +17,12 @@
 //     return to any ancestor's basis without re-solving, and
 //   * periodic refactorization of B^{-1} from the basis for numerical
 //     hygiene (eta-style rank-1 updates drift over long pivot sequences).
+//
+// Skipping exact-zero column entries and reinverting row-wise (see
+// LuDecomposition::solve) leave every value bitwise what the all-dense
+// sequential sums give: the sums keep their ascending order, start at +0,
+// and a +-0 term cannot change such a sum (no FMA contraction in an ISO
+// C++ build without -ffast-math).
 #pragma once
 
 #include <cstddef>
@@ -143,7 +151,13 @@ class SimplexSolver {
   void rebuild_phase2_cost();
   [[nodiscard]] double value(std::size_t j) const;
   [[nodiscard]] double col_dot(const Vec& y, std::size_t j) const;
-  [[nodiscard]] Vec compute_d(std::size_t j) const;
+  /// y . A_j for structural column j (y indexed by row).
+  [[nodiscard]] double structural_dot(const double* y, std::size_t j) const;
+  /// v += alpha * A_j for structural column j.
+  void add_structural(double alpha, std::size_t j, Vec& v) const;
+  /// d = B^{-1} A_j into the scratch d_; the reference stays valid until the
+  /// next call.
+  const Vec& compute_d(std::size_t j);
   void recompute_xb();
   bool refactorize();
   void pivot_update(std::size_t r, const Vec& d);
@@ -163,7 +177,12 @@ class SimplexSolver {
   std::size_t slack_begin_ = 0;
   std::size_t art_begin_ = 0;
 
-  linalg::Matrix at_;  // structural columns stored as rows (A transposed)
+  // Structural columns of A, compressed: column j's nonzeros are
+  // col_val_[col_start_[j] .. col_start_[j+1]) at rows col_row_[...],
+  // ascending.
+  std::vector<std::size_t> col_start_;
+  std::vector<std::size_t> col_row_;
+  Vec col_val_;
   std::vector<std::size_t> slack_row_;
   Vec slack_sign_;
   Vec art_sign_;
@@ -174,6 +193,7 @@ class SimplexSolver {
   Vec cost2_;    // phase-2 cost (structural objective, padded with zeros)
   Vec cb_;       // scratch: basic costs, refreshed every pricing pass
   Vec weights_;  // Devex reference weights, reset per optimize() call
+  Vec d_;        // scratch: the entering column B^{-1} A_j of a pivot
   std::vector<VarStatus> status_;
   std::vector<std::size_t> basis_;      // basic column per row
   std::vector<std::size_t> basis_pos_;  // column -> row (npos when nonbasic)

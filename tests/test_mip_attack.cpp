@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/metrics.hpp"
 #include "data/quest.hpp"
 #include "data/queries.hpp"
+#include "obs/sinks.hpp"
 #include "rng/rng.hpp"
 
 namespace aspe::core {
@@ -196,6 +199,59 @@ TEST(MipAttack, BranchAndBoundFallbackIsWarmColdAndThreadInvariant) {
     }
   }
   EXPECT_GT(fallbacks, 0u) << "no instance reached branch and bound";
+}
+
+TEST(MipAttack, TableIiCellsPinSimplexWorkAndAnswers) {
+  // One d = m = 100 instance per Table II (sigma, rho) cell with a
+  // 15-keyword query. Pivot and reinversion counts are integers and the
+  // answer is a set of keyword ids, so the pin is host independent. Any
+  // change to the simplex arithmetic that moves one rounded value moves a
+  // pivot somewhere and shows up here.
+  struct Pin {
+    double sigma;
+    double rho;
+    std::uint64_t seed;
+    double primal_iterations;
+    double refactorizations;
+    std::vector<std::size_t> ones;  // recovered query bits
+  };
+  const std::vector<Pin> pins = {
+      {0.5, 0.05, 101, 225, 4,
+       {2, 5, 20, 38, 47, 48, 63, 71, 75, 78, 81, 89, 90, 97}},
+      {0.5, 0.20, 102, 214, 4,
+       {4, 20, 23, 28, 36, 43, 44, 55, 62, 67, 75, 79, 88, 93, 98}},
+      {0.5, 0.35, 103, 213, 4,
+       {3, 17, 19, 25, 40, 42, 43, 45, 50, 54, 55, 56, 71, 74, 80}},
+      {1.0, 0.05, 104, 205, 4, {5, 31, 54, 76, 83, 90, 94, 98, 99}},
+      {1.0, 0.20, 105, 213, 4, {44, 59, 99}},
+      {1.0, 0.35, 106, 225, 4, {52}},
+  };
+  for (const Pin& pin : pins) {
+    const Scenario s =
+        make_scenario(100, 100, pin.rho, pin.sigma, 15, pin.seed);
+    obs::MemorySink sink;
+    ExecContext ctx;
+    ctx.sink = &sink;
+    const MipAttackResult res =
+        run_mip_attack(s.view, 0, s.mu, s.sigma, MipAttackOptions{}, ctx);
+    std::vector<std::size_t> ones;
+    for (std::size_t k = 0; k < res.query.size(); ++k) {
+      if (res.query[k] != 0) ones.push_back(k);
+    }
+    const double primal = res.telemetry.counter("simplex.primal_iterations");
+    const double refactors = res.telemetry.counter("simplex.refactorizations");
+    std::ostringstream actual;
+    actual << "{" << pin.sigma << ", " << pin.rho << ", " << pin.seed << ", "
+           << primal << ", " << refactors << ", {";
+    for (std::size_t i = 0; i < ones.size(); ++i) {
+      actual << (i ? ", " : "") << ones[i];
+    }
+    actual << "}}";
+    ASSERT_TRUE(res.found) << actual.str();
+    EXPECT_EQ(primal, pin.primal_iterations) << actual.str();
+    EXPECT_EQ(refactors, pin.refactorizations) << actual.str();
+    EXPECT_EQ(ones, pin.ones) << actual.str();
+  }
 }
 
 }  // namespace

@@ -23,11 +23,12 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" -R "Obs\."
 
 # Second pre-pass over the optimizer suites: the warm-start machinery
-# (basis snapshots, trail rewinds, eta updates through row views) is the
-# pointer-heaviest code in the tree, so surface its reports in seconds
+# (basis snapshots, trail rewinds, eta updates through row views), the
+# sparse structural columns and the row-pointer LU reinversion are the
+# pointer-heaviest code in the tree, so surface their reports in seconds
 # before paying for the full run.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "WarmStart|SimplexStress|Simplex\.|Mip"
+  -R "WarmStart|SimplexStress|Simplex\.|Mip|Lu\."
 
 # Third pre-pass over the truncated-SVD / warm-NNLS path: blocked QR panels,
 # workspace Cholesky up/downdates and per-column factor buffers are the

@@ -21,9 +21,10 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" -R "Obs\."
 
 # Second pre-pass: the MIP attack drives the (serial) warm-started solver
-# from inside parallel heuristic probes; check those suites first.
+# from inside parallel heuristic probes, and LEP shares one const
+# LuDecomposition across pool workers; check those suites first.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "WarmStart|MipAttack|Par\."
+  -R "WarmStart|MipAttack|Par\.|Lu\."
 
 # Third pre-pass: the truncated SVD fans gemm/QR panels over the pool and
 # the ANLS warm path keeps per-column workspaces that must stay disjoint

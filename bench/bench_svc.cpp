@@ -2,29 +2,25 @@
 // socket at 1 / 8 / 64 concurrent clients, against the one-shot CLI baseline
 // (every job re-parses its corpus and re-estimates the SNMF rank from
 // scratch). The daemon amortizes exactly that per-job setup through its
-// corpus and rank caches, so the same attack against the same files answers
+// warm-state store, so the same attack against the same files answers
 // faster — and bit-identically, which the bench verifies per run.
 //
-// Two batched-scheduling series ride along (PR 10): an 8-job SNMF batch
-// sharing one corpus coalesced into a single fused restart sweep (one
-// corpus parse, one score-matrix build, one rank estimate), and repeated
-// identical MIP jobs warm-starting the root LP from the daemon's persistent
-// basis cache.
+// A MIP series rides along: repeated identical MIP jobs warm-starting the
+// root LP from the basis the daemon's warm-state store keeps.
 //
 // Writes BENCH_svc.json (gated by tools/check_bench.py against
 // bench/baselines/). Headlines: svc_daemon_speedup_over_oneshot_c{1,8,64},
-// svc_batched_snmf_speedup_over_solo_8job, svc_mip_basis_cache_speedup,
-// daemon_outputs_bit_identical, batched_outputs_bit_identical. The MIP
-// cache ratio's two sides ride along as svc_mip_cold_s / svc_mip_warm_s:
-// report-only (no "seconds" tag, so check_bench.py does not gate them),
-// because a faster cold solve legitimately shrinks the ratio.
+// svc_mip_basis_cache_speedup, daemon_outputs_bit_identical,
+// mip_outputs_bit_identical. The MIP cache ratio's two sides ride along as
+// svc_mip_cold_s / svc_mip_warm_s: report-only (no "seconds" tag, so
+// check_bench.py does not gate them), because a faster cold solve
+// legitimately shrinks the ratio.
 //
 // Usage: bench_svc [--full] [--seed=S]
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -80,8 +76,8 @@ int main(int argc, char** argv) {
   const std::size_t d = 12;
   const std::size_t n = full ? 8000 : 1000;
   // Enough trapdoors that the per-job rank(R) estimate (cost ~ n*m^2) is
-  // the dominant setup — the part the daemon's rank cache and the fused
-  // batch pay once instead of per job.
+  // the dominant setup — the part the daemon's warm-state store pays once
+  // instead of per job.
   const std::size_t m = 200;
 
   const fs::path dir = fs::temp_directory_path() /
@@ -114,7 +110,7 @@ int main(int argc, char** argv) {
     snmf.options.restarts = 1;
     // Few enough sweep iterations that the per-job setup (parse + score
     // build + rank estimate) dominates, as it does for short interactive
-    // jobs — the regime the warm daemon and the fused batch are for.
+    // jobs — the regime the warm daemon is for.
     snmf.options.nmf.max_iterations = 5;
     req.request = snmf;
     return req;
@@ -237,65 +233,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(st.corpus_cache_hits),
               static_cast<unsigned long long>(st.rank_cache_hits));
 
-  // ---- batched SNMF: 8 jobs sharing one corpus, one SubmitBatch ---------
-  // Solo = the one-shot baseline above (every job pays parse + score build
-  // + rank estimate). Batched = a cold daemon coalescing the whole batch
-  // into one fused restart sweep, so that setup is paid once for 8 jobs.
-  const std::size_t batch_jobs = 8;
-  double batched_jps = 0.0;
-  bool batched_identical = true;
-  {
-    core::ExecContext ctx;
-    ctx.seed = seed;
-    const core::AttackResponse ref = core::dispatch_attack(job_request(), ctx);
-    if (!ref.ok()) {
-      std::fprintf(stderr, "bench_svc: reference job failed: %s\n",
-                   ref.message.c_str());
-      return 1;
-    }
-    double best = 1e300;
-    for (int rep = 0; rep < 2; ++rep) {
-      svc::DaemonOptions bopt;
-      bopt.workers = 0;  // fused sweep runs on this thread: pure batch cost
-      svc::Daemon bdaemon(bopt);
-      std::vector<svc::BatchJob> jobs(batch_jobs);
-      for (auto& job : jobs) {
-        job.request = job_request();
-        job.options = jopts;
-      }
-      std::map<std::uint64_t, core::AttackResponse> got;
-      Stopwatch watch;
-      bdaemon.submit_batch(std::move(jobs),
-                           [&](std::uint64_t id, core::AttackResponse&& r) {
-                             got.emplace(id, std::move(r));
-                           });
-      while (bdaemon.run_scheduled() > 0) {
-      }
-      best = std::min(best, watch.seconds());
-      const svc::DaemonStats bst = bdaemon.stats();
-      if (bst.batched_jobs != batch_jobs) {
-        std::fprintf(stderr, "bench_svc: batch did not coalesce (%llu/%zu)\n",
-                     static_cast<unsigned long long>(bst.batched_jobs),
-                     batch_jobs);
-        return 1;
-      }
-      for (const auto& [id, resp] : got) {
-        batched_identical =
-            batched_identical && resp.ok() &&
-            resp.snmf().indexes == ref.snmf().indexes &&
-            resp.snmf().trapdoors == ref.snmf().trapdoors &&
-            resp.snmf().best_fit_error == ref.snmf().best_fit_error;
-      }
-    }
-    batched_jps = batch_jobs / best;
-    records.push_back({"batched_snmf", 0, batch_jobs, best, batched_jps});
-  }
-  const double batched_speedup =
-      baseline_jps > 0.0 ? batched_jps / baseline_jps : 0.0;
-  std::printf("\nbatched 8-job SNMF sweep: %.1f jobs/sec (%.1fx over solo, "
-              "bit-identical: %s)\n",
-              batched_jps, batched_speedup, batched_identical ? "yes" : "NO");
-
   // ---- persistent MIP basis cache: repeated identical MIP jobs ----------
   // Enough known-plain rows that the root LP dominates the solve; the warm
   // repeats restore the cached root basis instead of re-running the full
@@ -384,16 +321,14 @@ int main(int argc, char** argv) {
   out << "  \"svc_daemon_speedup_over_oneshot_c8\": " << speedup_c8 << ",\n";
   out << "  \"svc_daemon_speedup_over_oneshot_c64\": " << speedup_c64
       << ",\n";
-  out << "  \"svc_batched_snmf_speedup_over_solo_8job\": " << batched_speedup
-      << ",\n";
   out << "  \"svc_mip_basis_cache_speedup\": " << mip_speedup << ",\n";
   out << "  \"svc_mip_cold_s\": " << mip_cold_s << ",\n";
   out << "  \"svc_mip_warm_s\": " << mip_warm_s << ",\n";
   out << "  \"daemon_outputs_bit_identical\": "
       << (bit_identical ? "true" : "false") << ",\n";
-  out << "  \"batched_outputs_bit_identical\": "
-      << (batched_identical && mip_identical ? "true" : "false") << "\n";
+  out << "  \"mip_outputs_bit_identical\": "
+      << (mip_identical ? "true" : "false") << "\n";
   out << "}\n";
   std::printf("\nwrote BENCH_svc.json\n");
-  return bit_identical && batched_identical && mip_identical ? 0 : 1;
+  return bit_identical && mip_identical ? 0 : 1;
 }

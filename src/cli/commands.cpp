@@ -674,6 +674,18 @@ int cmd_convert(const CliFlags& flags, std::ostream& out) {
 
 // -------------------------------------------------------------- svc surface
 
+/// The warm-state store's per-kind hits and resident bytes, for the serve
+/// shutdown line and the ping summary.
+void print_warm_state(const svc::DaemonStats& st, std::ostream& out) {
+  out << "warm-state hits: " << st.corpus_cache_hits << " corpus, "
+      << st.score_cache_hits << " score (" << st.score_cache_misses
+      << " misses, " << st.score_cache_evictions << " evicted), "
+      << st.rank_cache_hits << " rank, " << st.lep_session_hits
+      << " lep session, " << st.snmf_resumes << " snmf session, "
+      << st.basis_cache_hits << " mip basis; " << st.cache_bytes
+      << " bytes resident";
+}
+
 int cmd_serve(const CliFlags& flags, std::ostream& out) {
   const std::string socket = required(flags, "socket");
   CommandObs cobs(flags);  // --trace-json streams every job's recording
@@ -709,12 +721,9 @@ int cmd_serve(const CliFlags& flags, std::ostream& out) {
   const svc::DaemonStats st = daemon.stats();
   out << "svc: stopped after " << st.submitted << " jobs (" << st.completed
       << " completed, " << st.rejected << " rejected, " << st.expired
-      << " expired, " << st.cancelled << " cancelled; "
-      << st.corpus_cache_hits << " corpus / " << st.rank_cache_hits
-      << " rank / " << st.lep_session_hits << " session cache hits; "
-      << st.batched_jobs << " jobs fused into " << st.batches_formed
-      << " sweeps, " << st.score_cache_hits << " score / "
-      << st.basis_cache_hits << " basis cache hits)\n";
+      << " expired, " << st.cancelled << " cancelled; ";
+  print_warm_state(st, out);
+  out << ")\n";
   cobs.finish(core::AttackTelemetry{}, out);
   return 0;
 }
@@ -779,14 +788,9 @@ core::AttackRequest build_submit_request(const std::string& attack,
 void print_daemon_stats(const svc::DaemonStats& st, std::ostream& out) {
   out << "pong: " << st.submitted << " submitted, " << st.completed
       << " completed, " << st.rejected << " rejected, " << st.queue_depth
-      << " queued; " << st.batched_jobs << " jobs fused into "
-      << st.batches_formed << " sweeps, " << st.affinity_hits
-      << " affinity hits; cache hits: " << st.corpus_cache_hits
-      << " corpus, " << st.rank_cache_hits << " rank, "
-      << st.lep_session_hits << " session, " << st.basis_cache_hits
-      << " basis, " << st.score_cache_hits << " score ("
-      << st.score_cache_misses << " misses, " << st.score_cache_evictions
-      << " evicted, " << st.score_cache_bytes << " bytes resident)\n";
+      << " queued; ";
+  print_warm_state(st, out);
+  out << "\n";
 }
 
 int cmd_submit(const CliFlags& flags, std::ostream& out) {
@@ -841,10 +845,10 @@ int cmd_submit(const CliFlags& flags, std::ostream& out) {
   }
 
   // Several --input databases: one job per input, shipped in a single
-  // SubmitBatch frame over this connection so the daemon's scheduler can
-  // coalesce compatible jobs. Each job writes its own output files (the
-  // --out paths suffixed ".jobN") and reports its own status line; the
-  // command's exit code is the first failing job's.
+  // SubmitBatch frame over this connection (one round trip for all the
+  // ids). Each job writes its own output files (the --out paths suffixed
+  // ".jobN") and reports its own status line; the command's exit code is
+  // the first failing job's.
   std::vector<svc::BatchJob> jobs;
   jobs.reserve(inputs.size());
   for (const std::string& input : inputs) {
@@ -909,10 +913,10 @@ int cmd_help(std::ostream& out) {
          "              (--max-nodes caps branch-and-bound nodes; the attack\n"
          "               reports NodeLimit when the cap trips first)\n"
          "  serve       --socket=PATH [--workers=N] [--queue=N]\n"
-         "              [--memory-budget-mb=N (score-matrix cache budget)]\n"
-         "              (attack-service daemon on a Unix socket; warm corpus/\n"
-         "               session caches, cache-affine batching scheduler,\n"
-         "               bounded job queue — docs/svc.md)\n"
+         "              [--memory-budget-mb=N (bounds all warm state:\n"
+         "               corpora, score matrices, sessions, MIP bases)]\n"
+         "              (attack-service daemon on a Unix socket; one warm-\n"
+         "               state store, bounded FIFO job queue — docs/svc.md)\n"
          "  submit      --socket=PATH --attack={lep,mip,snmf} <attack flags>\n"
          "              [--deadline-ms=N] [--inline] | --ping | --shutdown\n"
          "              (ship one job to a running daemon; same flags and\n"

@@ -173,35 +173,57 @@ AttackResponse dispatch_snmf(const SnmfRequest& req, const ExecContext& ctx,
   // estimate and the restart sweep read the same R. Pre-hooks dispatch
   // built it twice on the rank == 0 path — once for the estimate, once
   // inside run_snmf_attack(view, ...). The build is deterministic at any
-  // thread count, so a cache hit is bit-identical to a rebuild.
-  std::shared_ptr<const linalg::Matrix> scores;
+  // thread count, so a store hit is bit-identical to a rebuild.
+  const bool warm = hooks.store != nullptr && !hooks.score_key.empty();
   const auto build = [&] {
     return build_score_matrix(*db, *trapdoors, ctx.threads);
   };
-  if (hooks.score_cache != nullptr && !hooks.score_key.empty()) {
-    scores = hooks.score_cache->get_or_build(
-        hooks.score_key, ctx.memory_budget_bytes, build);
+  std::shared_ptr<const linalg::Matrix> scores;
+  if (warm) {
+    scores = hooks.store->get_or_build<const linalg::Matrix>(
+        WarmKind::Score, hooks.score_key, [&] {
+          auto m = std::make_shared<const linalg::Matrix>(build());
+          return WarmStore::Built<const linalg::Matrix>{
+              m, m->rows() * m->cols() * sizeof(double)};
+        });
   } else {
     scores = std::make_shared<const linalg::Matrix>(build());
   }
 
   SnmfAttackOptions options = req.options;
-  bool estimated = false;
-  if (options.rank == 0) {
-    options.rank = estimate_latent_dimension(*scores, options.rank_tol, ctx);
-    if (options.rank == 0) {
-      throw Error(ErrorCode::NotReady,
-                  "snmf: rank estimation found a zero matrix");
-    }
-    estimated = true;
+  const bool estimated = options.rank == 0;
+  if (estimated) {
+    // The estimate is deterministic per (corpus, seed, tolerance), so a
+    // stored rank reproduces the cold run bit for bit while skipping the
+    // SVD. rank_tol is part of the key: two jobs differing only in it may
+    // legitimately disagree on the estimate.
+    const auto estimate = [&] {
+      const std::size_t rank =
+          estimate_latent_dimension(*scores, options.rank_tol, ctx);
+      if (rank == 0) {
+        throw Error(ErrorCode::NotReady,
+                    "snmf: rank estimation found a zero matrix");
+      }
+      return rank;
+    };
+    options.rank =
+        warm ? *hooks.store->get_or_build<const std::size_t>(
+                   WarmKind::Rank,
+                   warm_key(hooks.score_key, ctx.seed, options.rank_tol),
+                   [&] {
+                     return WarmStore::Built<const std::size_t>{
+                         std::make_shared<const std::size_t>(estimate()),
+                         sizeof(std::size_t)};
+                   })
+             : estimate();
   }
 
   AttackResponse resp;
   auto res = run_snmf_attack(*scores, options, ctx);
   if (estimated) {
     // Recorded whether or not a sink was attached, like the driver's own
-    // counters, so callers (the CLI's report line, the daemon's rank cache)
-    // can read the choice back.
+    // counters, so callers (the CLI's report line) can read the choice
+    // back.
     res.telemetry.counters["snmf.estimated_rank"] =
         static_cast<double>(options.rank);
   }

@@ -34,8 +34,8 @@
 #include "core/exec_context.hpp"
 #include "core/lep.hpp"
 #include "core/mip_attack.hpp"
-#include "core/score_cache.hpp"
 #include "core/snmf_attack.hpp"
+#include "core/warm_store.hpp"
 #include "scheme/split_encryptor.hpp"
 
 namespace aspe::core {
@@ -223,11 +223,13 @@ struct AttackResponse {
 /// state differs only in skipped simplex pivots, which canonicalization
 /// makes invisible — see core::MipWarmState).
 struct DispatchHooks {
-  /// Shared score-matrix cache for SNMF. Only consulted when `score_key` is
-  /// non-empty; the key must identify the (db, trapdoors) corpus pair
-  /// *content* — the daemon keys on stat fingerprints. The per-call
-  /// ctx.memory_budget_bytes bounds the cache's resident bytes.
-  ScoreMatrixCache* score_cache = nullptr;
+  /// Shared warm-state store for SNMF: the score matrix (WarmKind::Score,
+  /// under `score_key`) and, when options.rank == 0, the rank estimate
+  /// (WarmKind::Rank, under `score_key` plus seed and rank_tol). Only
+  /// consulted when `score_key` is non-empty; the key must identify the
+  /// (db, trapdoors) corpus pair *content* — the daemon keys on stat
+  /// fingerprints.
+  WarmStore* store = nullptr;
   std::string score_key;
 
   /// Persistent MIP root-basis state, keyed by the caller (the daemon

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <utility>
 
 #include "common/error.hpp"
@@ -243,6 +244,24 @@ SnmfAttackResult CoaSession::attack() {
   pending_ = obs::Summary{};
   pending_seconds_ = 0.0;
   return result;
+}
+
+std::size_t CoaSession::resident_bytes() const {
+  std::size_t doubles = 0;
+  for (const Matrix* m : {&ia_, &ib_, &ta_, &tb_, &scores_}) {
+    doubles += m->rows() * m->cols();
+  }
+  if (factorization_) {
+    const auto& f = *factorization_;
+    doubles += f.w.rows() * f.w.cols() + f.h.rows() * f.h.cols();
+  }
+  if (svd_state_) {
+    const auto& svd = *svd_state_;
+    doubles += svd.u().rows() * svd.u().cols() +
+               svd.v().rows() * svd.v().cols() +
+               svd.singular_values().size();
+  }
+  return doubles * sizeof(double);
 }
 
 CoaSessionSnapshot CoaSession::snapshot() const {
@@ -490,6 +509,21 @@ LepResult LepSession::result() const {
       static_cast<double>(warm_resolves_);
   result.telemetry.wall_seconds = watch.seconds();
   return result;
+}
+
+std::size_t LepSession::resident_bytes() const {
+  std::size_t doubles = query_multipliers_.size() + 4 * n_ * n_;
+  for (const auto& pair : chosen_) {
+    doubles += pair.plain_index.size() + pair.cipher.a.size() +
+               pair.cipher.b.size();
+  }
+  for (const auto* ciphers : {&trapdoor_ciphers_, &index_ciphers_}) {
+    for (const auto& c : *ciphers) doubles += c.a.size() + c.b.size();
+  }
+  for (const auto* vecs : {&trapdoors_, &queries_, &indexes_, &records_}) {
+    for (const auto& v : *vecs) doubles += v.size();
+  }
+  return doubles * sizeof(double);
 }
 
 LepSessionSnapshot LepSession::snapshot() const {

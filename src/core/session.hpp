@@ -110,6 +110,10 @@ class CoaSession {
 
   [[nodiscard]] CoaSessionSnapshot snapshot() const;
 
+  /// Bytes of matrix storage the session holds: ciphertext halves, score
+  /// matrix, warm factorization and truncated-SVD rank state.
+  [[nodiscard]] std::size_t resident_bytes() const;
+
  private:
   void fold_recording(obs::ScopedRecording& rec, double seconds);
 
@@ -190,6 +194,11 @@ class LepSession {
   [[nodiscard]] LepResult result() const;
 
   [[nodiscard]] LepSessionSnapshot snapshot() const;
+
+  /// Bytes of vector storage the session holds: observed ciphertexts,
+  /// basis pairs, solved plaintexts, and its LU factorizations and
+  /// independence trackers (counted at their n x n bound).
+  [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
   void factor_pair_basis();

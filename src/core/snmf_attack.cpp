@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-
-#include <map>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -482,124 +479,6 @@ SnmfAttackResult run_snmf_attack(const Matrix& scores,
   result.telemetry.wall_seconds = watch.seconds();
   result.telemetry.absorb(rec.finish());
   return result;
-}
-
-namespace {
-
-/// Everything a batched SNMF result depends on besides the (shared) score
-/// matrix: the full option set plus the RNG seed. Thread width and memory
-/// budget shape execution order only, never the outputs.
-std::string snmf_job_identity(const SnmfBatchJob& job) {
-  std::ostringstream key;
-  key.precision(17);
-  const SnmfAttackOptions& o = job.options;
-  key << o.rank << '|' << o.theta << '|' << o.restarts << '|' << o.rank_tol
-      << '|' << o.balance << '|' << o.resume_iterations << '|' << o.nmf.eta
-      << '|' << o.nmf.lambda << '|' << o.nmf.max_iterations << '|'
-      << o.nmf.rel_tol << '|' << static_cast<int>(o.nmf.algorithm) << '|'
-      << static_cast<int>(o.nmf.init) << '|' << o.nmf.warm_start << '|'
-      << o.nmf.truncated_init << '|' << o.nmf.resume_from_init << '|'
-      << job.ctx.seed;
-  return key.str();
-}
-
-}  // namespace
-
-std::vector<SnmfAttackResult> run_snmf_attack_batch(
-    const Matrix& scores, const std::vector<SnmfBatchJob>& jobs) {
-  std::vector<SnmfAttackResult> out(jobs.size());
-  if (jobs.empty()) return out;
-  Stopwatch watch;
-  obs::Span batch_span("snmf/batch");
-
-  // 1. Per-job initializations, drawn with each job's own options and
-  //    context — byte-for-byte the streams the solo path would draw. Jobs
-  //    with identical (options, seed) factorize identically against the
-  //    shared score matrix, so only the first of each identity class runs;
-  //    the rest receive a copy of its result in the demux below.
-  struct Slot {
-    std::size_t job;
-    std::size_t restart;
-  };
-  std::vector<std::vector<nmf::NmfInit>> inits(jobs.size());
-  std::vector<Slot> slots;
-  std::vector<std::size_t> rep_of(jobs.size());
-  std::map<std::string, std::size_t> identity_rep;
-  std::size_t sweep_threads = 1;
-  std::size_t max_per_restart_bytes = 1;
-  std::size_t min_budget = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const SnmfBatchJob& job = jobs[j];
-    require(job.options.rank > 0,
-            "run_snmf_attack_batch: rank (d) must be resolved per job");
-    rep_of[j] = identity_rep.emplace(snmf_job_identity(job), j).first->second;
-    sweep_threads = std::max(sweep_threads, job.ctx.resolved_threads());
-    max_per_restart_bytes = std::max(
-        max_per_restart_bytes, 4 * job.options.rank *
-                                   (scores.rows() + scores.cols()) *
-                                   sizeof(double));
-    if (job.ctx.memory_budget_bytes > 0) {
-      min_budget = min_budget == 0
-                       ? job.ctx.memory_budget_bytes
-                       : std::min(min_budget, job.ctx.memory_budget_bytes);
-    }
-    if (rep_of[j] != j) continue;  // duplicate: no restarts of its own
-    inits[j] = draw_snmf_inits(scores, job.options, job.ctx);
-    for (std::size_t l = 0; l < inits[j].size(); ++l) slots.push_back({j, l});
-  }
-
-  // 2. One merged restart pool across all jobs. Grouping (from the tightest
-  //    job budget) and the outer width only shape execution order; every
-  //    restart's factorization is a pure function of (scores, rank, nmf
-  //    options, init), so the demuxed winners below match solo runs bitwise.
-  std::size_t group = slots.size();
-  if (min_budget > 0) {
-    group = std::clamp<std::size_t>(min_budget / max_per_restart_bytes, 1,
-                                    slots.size());
-  }
-  std::vector<std::vector<nmf::NmfResult>> runs(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) runs[j].resize(inits[j].size());
-  for (std::size_t g0 = 0; g0 < slots.size(); g0 += group) {
-    const std::size_t g1 = std::min(slots.size(), g0 + group);
-    obs::Span shard_span("snmf/restart_shard");
-    obs::counter_add("shard.count", 1.0);
-    par::parallel_for(
-        g0, g1, 1,
-        [&](std::size_t i) {
-          const Slot& s = slots[i];
-          const SnmfBatchJob& job = jobs[s.job];
-          obs::Span restart_span("snmf/restart");
-          runs[s.job][s.restart] = nmf::sparse_nmf_from_init(
-              scores, job.options.rank, job.options.nmf,
-              std::move(inits[s.job][s.restart]), job.ctx.resolved_threads());
-        },
-        sweep_threads);
-  }
-
-  // 3. Per-job demux: the same first-strictly-better winner scan and
-  //    binarization the solo path runs. Duplicates copy their identity
-  //    class representative (always at a lower index, so already demuxed).
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (rep_of[j] != j) {
-      out[j] = out[rep_of[j]];
-      obs::counter_add("snmf.batch_deduped", 1.0);
-      continue;
-    }
-    std::size_t best = 0;
-    for (std::size_t l = 1; l < runs[j].size(); ++l) {
-      if (runs[j][l].objective < runs[j][best].objective) best = l;
-    }
-    SnmfSelection selection;
-    selection.selected_restart = best;
-    selection.restarts_run = runs[j].size();
-    for (const nmf::NmfResult& r : runs[j]) {
-      selection.nmf_iterations += r.iterations;
-    }
-    selection.factorization = std::move(runs[j][best]);
-    out[j] = binarize_snmf_selection(selection, jobs[j].options);
-    out[j].telemetry.wall_seconds = watch.seconds();
-  }
-  return out;
 }
 
 }  // namespace aspe::core

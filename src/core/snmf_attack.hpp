@@ -146,26 +146,6 @@ struct SnmfAttackResult {
                                                const SnmfAttackOptions& options,
                                                const ExecContext& ctx = {});
 
-/// One job of a fused multi-job restart sweep (run_snmf_attack_batch).
-/// options.rank must be resolved (> 0) by the caller — a shared rank
-/// estimate is exactly what batching is for.
-struct SnmfBatchJob {
-  SnmfAttackOptions options;
-  ExecContext ctx;
-};
-
-/// Run several SNMF attacks over ONE score matrix as a single fused restart
-/// sweep: each job's initializations are drawn with that job's own options
-/// and context (the exact streams the solo path draws), all restarts run in
-/// one merged pool, and per-job winners are selected by the same
-/// first-strictly-better scan run_snmf_restarts uses. Every per-restart
-/// factorization is a pure function of (scores, rank, nmf options, init) —
-/// bit-identical at any thread count — so result j equals
-/// run_snmf_attack(scores, jobs[j].options, jobs[j].ctx) bit for bit
-/// (telemetry wall time excepted).
-[[nodiscard]] std::vector<SnmfAttackResult> run_snmf_attack_batch(
-    const linalg::Matrix& scores, const std::vector<SnmfBatchJob>& jobs);
-
 // ---- Decomposed restart machinery (shared by run_snmf_attack and
 // core::CoaSession, which must keep the selected factorization alive as the
 // warm seed of its next incremental resume).

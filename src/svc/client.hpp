@@ -38,9 +38,10 @@ class Client {
                        const JobOptions& options = {});
 
   /// Ship several jobs in one SubmitBatch frame; blocks until every job's
-  /// Accepted frame and returns the ids in submission order. The daemon's
-  /// scheduler sees the whole batch at once, so compatible SNMF jobs
-  /// coalesce into one fused sweep. Results arrive via wait(), any order.
+  /// Accepted frame and returns the ids in submission order. The daemon
+  /// queues each job exactly as if it had arrived in its own Submit frame;
+  /// the batch saves round trips, not work. Results arrive via wait(), any
+  /// order.
   std::vector<std::uint64_t> submit_batch(const std::vector<BatchJob>& jobs);
 
   /// Block until the Result frame for `job_id` arrives.

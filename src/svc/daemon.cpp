@@ -7,13 +7,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <initializer_list>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <utility>
 
+#include "core/session.hpp"
 #include "scheme/plain_index.hpp"
 #include "sse/adversary_view.hpp"
 
@@ -21,25 +20,26 @@ namespace aspe::svc {
 
 namespace {
 
-/// Per-job recording target: keeps the merged Summary for the response and
-/// forwards it to the daemon-wide sink (when one is configured).
+using core::WarmKind;
+template <class T>
+using Built = core::WarmStore::Built<T>;
+
+/// Per-job recording target: the job's own telemetry comes back through
+/// the attack result, so this only forwards to the daemon-wide sink (when
+/// one is configured).
 class ForwardSink final : public obs::Sink {
  public:
   explicit ForwardSink(obs::Sink* downstream) : downstream_(downstream) {}
 
   void consume(const obs::Summary& summary) override {
-    last_ = summary;
     if (downstream_ != nullptr) downstream_->consume(summary);
   }
 
-  [[nodiscard]] const obs::Summary& last() const { return last_; }
-
  private:
   obs::Sink* downstream_;
-  obs::Summary last_;
 };
 
-/// Corpus identity for the warm caches: path plus size plus mtime. Nullopt
+/// Corpus identity for the warm state: path plus size plus mtime. Nullopt
 /// when the file cannot be stat'ed (the subsequent load reports the real
 /// error with the io layer's message).
 std::optional<std::string> stat_fingerprint(const std::string& path) {
@@ -59,46 +59,96 @@ core::ExecContext job_context(const JobOptions& opts) {
   return ctx;
 }
 
-/// Corpus identity for cache-affine scheduling: every corpus path of the
-/// request joined with '|'. Empty when any corpus is inline or unnamed —
-/// those jobs have no stable warm state to be affine to.
-std::string affinity_key_of(const core::AttackRequest& request) {
-  const auto join = [](std::initializer_list<const core::CorpusRef*> refs) {
-    std::string key;
-    for (const auto* ref : refs) {
-      if (ref->path.empty()) return std::string();
-      if (!key.empty()) key += '|';
-      key += ref->path;
-    }
-    return key;
-  };
-  return std::visit(
-      [&](const auto& req) {
-        using T = std::decay_t<decltype(req)>;
-        if constexpr (std::is_same_v<T, core::LepRequest>) {
-          return join({&req.known_plain, &req.db, &req.trapdoors});
-        } else if constexpr (std::is_same_v<T, core::MipRequest>) {
-          return join({&req.known_plain, &req.db, &req.trapdoors});
-        } else {
-          return join({&req.db, &req.trapdoors});
-        }
-      },
-      request.request);
+// ---- warm-state keys: each covers every field its state depends on
+// besides the corpora. Thread counts and the memory budget shape how an
+// attack runs, never what it computes, so no key carries them.
+
+/// A LepSession draws no randomness; only its independence tolerance
+/// decides which pairs and trapdoors form the bases.
+std::string lep_session_key(const std::string& corpora,
+                            const core::LepOptions& o) {
+  return core::warm_key(corpora, o.independence_tol);
 }
 
-/// Format a double for a cache-key string (round-trippable, locale-free).
-std::string key_f64(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+/// A CoaSession reads every SNMF option (rank estimate, restarts, NMF
+/// solve, binarization, warm resumes) and draws its restarts from the seed
+/// in the context's stream mode.
+std::string coa_session_key(const std::string& corpora,
+                            const core::SnmfAttackOptions& o,
+                            const core::ExecContext& ctx) {
+  const nmf::SparseNmfOptions& n = o.nmf;
+  return core::warm_key(
+      corpora, o.rank, o.theta, o.restarts, o.rank_tol, o.balance,
+      o.resume_iterations, n.eta, n.lambda, n.max_iterations, n.rel_tol,
+      static_cast<int>(n.algorithm), static_cast<int>(n.init), n.warm_start,
+      n.truncated_init, n.resume_from_init, ctx.seed, ctx.deterministic);
+}
+
+/// A MIP root basis comes from the model (trapdoor, noise model, attack
+/// options) and the solver options. run_mip_attack also checks a model
+/// digest before warm-starting, so a key collision costs a cold solve, not
+/// a wrong answer.
+std::string mip_basis_key(const std::string& corpora,
+                          const core::MipRequest& r) {
+  const core::MipAttackOptions& o = r.options;
+  const opt::MipOptions& s = o.solver;
+  return core::warm_key(
+      corpora, r.trapdoor_id, r.mu, r.sigma, o.l,
+      static_cast<int>(o.root_ordering), o.rhat_min, o.rhat_max, o.that_min,
+      o.that_max, o.use_heuristic, o.max_repair_flips, s.first_feasible,
+      s.use_presolve, s.warm_start, s.max_nodes, s.time_limit_seconds,
+      s.int_tol, s.lp.max_iterations, s.lp.feas_tol, s.lp.opt_tol,
+      s.lp.dual_iteration_limit, s.lp.refactor_interval,
+      s.lp.bland_threshold);
+}
+
+/// A CoaSession kept for warm resumes. attack() mutates it, so one job at
+/// a time holds `mu`.
+struct CoaEntry {
+  CoaEntry(const core::SnmfAttackOptions& options, const core::ExecContext& ctx)
+      : session(options, ctx) {}
+  std::mutex mu;
+  core::CoaSession session;
+  std::size_t rank = 0;
+};
+
+/// One persistent MIP warm state (the root-LP basis). `mu` is held across
+/// the whole attack, so two identical MIP jobs never race on the basis.
+struct MipBasisEntry {
+  std::mutex mu;
+  core::MipWarmState state;
+};
+
+std::size_t basis_bytes(const opt::BasisState& b) {
+  return b.basis.size() * sizeof(std::size_t) +
+         b.status.size() * sizeof(opt::VarStatus) +
+         b.art_sign.size() * sizeof(double);
+}
+
+template <class Request>
+core::AttackResponse dispatch(Request req, const core::ExecContext& ctx,
+                              const core::DispatchHooks& hooks = {}) {
+  core::AttackRequest request;
+  request.request = std::move(req);
+  return core::dispatch_attack(request, ctx, hooks);
+}
+
+template <class Result>
+core::AttackResponse ok_response(Result&& res) {
+  core::AttackResponse resp;
+  resp.telemetry = res.telemetry;
+  resp.result = std::forward<Result>(res);
+  resp.status = core::AttackStatus::Ok;
+  resp.error = core::ErrorCode::Ok;
+  return resp;
 }
 
 }  // namespace
 
 // ------------------------------------------------------------------ daemon
 
-Daemon::Daemon(DaemonOptions options) : options_(options) {
+Daemon::Daemon(DaemonOptions options)
+    : options_(options), store_(options.memory_budget_bytes) {
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -126,7 +176,6 @@ std::uint64_t Daemon::submit(core::AttackRequest request, JobOptions options,
   job->request = std::move(request);
   job->options = options;
   job->deliver = std::move(deliver);
-  job->affinity_key = affinity_key_of(job->request);
   if (options.deadline_ms > 0) {
     job->deadline = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(options.deadline_ms);
@@ -151,47 +200,6 @@ std::uint64_t Daemon::submit(core::AttackRequest request, JobOptions options,
                            stopping ? "daemon is stopping"
                                     : "queue full: job refused"));
   return id;
-}
-
-std::vector<std::uint64_t> Daemon::submit_batch(std::vector<BatchJob> jobs,
-                                                Deliver deliver) {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(jobs.size());
-  std::vector<std::shared_ptr<Job>> refusals;
-  bool stopping = false;
-  {
-    std::lock_guard<std::mutex> lk(queue_mu_);
-    stopping = stopping_;
-    for (BatchJob& bj : jobs) {
-      const std::uint64_t id =
-          next_id_.fetch_add(1, std::memory_order_relaxed);
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      ids.push_back(id);
-      auto job = std::make_shared<Job>();
-      job->id = id;
-      job->request = std::move(bj.request);
-      job->options = bj.options;
-      job->deliver = deliver;
-      job->affinity_key = affinity_key_of(job->request);
-      if (bj.options.deadline_ms > 0) {
-        job->deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(bj.options.deadline_ms);
-      }
-      if (!stopping && queue_.size() < options_.queue_capacity) {
-        queue_.push_back(std::move(job));
-      } else {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        refusals.push_back(std::move(job));
-      }
-    }
-  }
-  queue_cv_.notify_all();
-  for (const auto& job : refusals) {
-    job->deliver(job->id, refused(core::ErrorCode::Budget,
-                                  stopping ? "daemon is stopping"
-                                           : "queue full: job refused"));
-  }
-  return ids;
 }
 
 bool Daemon::cancel(std::uint64_t job_id) {
@@ -219,7 +227,19 @@ bool Daemon::run_one() {
     job = std::move(queue_.front());
     queue_.pop_front();
   }
-  run_job(std::move(*job));
+  if (job->deadline != std::chrono::steady_clock::time_point{} &&
+      std::chrono::steady_clock::now() > job->deadline) {
+    expired_.fetch_add(1, std::memory_order_relaxed);
+    job->deliver(job->id,
+                 refused(core::ErrorCode::Budget,
+                         "deadline of " +
+                             std::to_string(job->options.deadline_ms) +
+                             " ms expired before the job started"));
+    return true;
+  }
+  core::AttackResponse resp = execute(job->request, job->options);
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  job->deliver(job->id, std::move(resp));
   return true;
 }
 
@@ -230,229 +250,9 @@ void Daemon::worker_loop() {
       queue_cv_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;  // queue drained by stop()
     }
-    // Raced pops (another worker emptied the queue between the wait and
-    // here) return 0 and loop back into the wait.
-    run_scheduled();
-  }
-}
-
-std::vector<std::shared_ptr<Daemon::Job>> Daemon::take_batch_locked() {
-  std::vector<std::shared_ptr<Job>> out;
-  if (queue_.empty()) return out;
-
-  // --- cache-affine pick -------------------------------------------------
-  // Prefer the first queued job whose corpus state is warm (affinity key ==
-  // the last scheduled job's), but never jump over a deadline-bearing job
-  // or one already bypassed max_affinity_bypass times — the starvation
-  // bound that keeps deadlines meaningful. Ties break on queue order, so
-  // the schedule is deterministic for a given queue state.
-  std::size_t pick = 0;
-  if (!last_affinity_.empty()) {
-    std::size_t match = queue_.size();
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      if (queue_[i]->affinity_key == last_affinity_) {
-        match = i;
-        break;
-      }
-    }
-    if (match < queue_.size()) {
-      bool allowed = true;
-      for (std::size_t i = 0; i < match; ++i) {
-        if (queue_[i]->deadline != std::chrono::steady_clock::time_point{} ||
-            queue_[i]->bypassed >= options_.max_affinity_bypass) {
-          allowed = false;
-          break;
-        }
-      }
-      if (allowed) pick = match;
-    }
-  }
-  std::shared_ptr<Job> first = queue_[pick];
-  if (!last_affinity_.empty() && first->affinity_key == last_affinity_) {
-    affinity_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < pick; ++i) ++queue_[i]->bypassed;
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
-  if (!first->affinity_key.empty()) last_affinity_ = first->affinity_key;
-  out.push_back(first);
-
-  // --- SNMF coalescing ---------------------------------------------------
-  // Extract queued jobs the fused sweep can serve together with the pick:
-  // same corpus pair, cold restart path, no per-job recording. Extraction
-  // keeps queue order, so demuxed delivery order is deterministic too.
-  const auto batchable = [this](const Job& job) {
-    if (job.affinity_key.empty() || job.options.want_telemetry ||
-        options_.sink != nullptr) {
-      return false;
-    }
-    const auto* snmf = std::get_if<core::SnmfRequest>(&job.request.request);
-    return snmf != nullptr && !snmf->reuse_session &&
-           !snmf->db.path.empty() && !snmf->trapdoors.path.empty();
-  };
-  if (!batchable(*first)) return out;
-  for (auto it = queue_.begin();
-       it != queue_.end() && out.size() < options_.max_snmf_batch;) {
-    if ((*it)->affinity_key == first->affinity_key && batchable(**it)) {
-      out.push_back(*it);
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return out;
-}
-
-std::size_t Daemon::run_scheduled() {
-  std::vector<std::shared_ptr<Job>> picked;
-  {
-    std::lock_guard<std::mutex> lk(queue_mu_);
-    picked = take_batch_locked();
-  }
-  const std::size_t n = picked.size();
-  if (n == 0) return 0;
-  if (n == 1) {
-    run_job(std::move(*picked.front()));
-    return 1;
-  }
-  run_snmf_batch(std::move(picked));
-  return n;
-}
-
-void Daemon::run_job(Job&& job) {
-  if (job.deadline != std::chrono::steady_clock::time_point{} &&
-      std::chrono::steady_clock::now() > job.deadline) {
-    expired_.fetch_add(1, std::memory_order_relaxed);
-    job.deliver(job.id,
-                refused(core::ErrorCode::Budget,
-                        "deadline of " + std::to_string(job.options.deadline_ms) +
-                            " ms expired before the job started"));
-    return;
-  }
-  core::AttackResponse resp = execute(job.request, job.options);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  job.deliver(job.id, std::move(resp));
-}
-
-void Daemon::run_snmf_batch(std::vector<std::shared_ptr<Job>> jobs) {
-  // Per-job deadline refusals first, exactly as run_job would have issued
-  // them — riding in a batch never relaxes a deadline.
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<std::shared_ptr<Job>> live;
-  live.reserve(jobs.size());
-  for (auto& job : jobs) {
-    if (job->deadline != std::chrono::steady_clock::time_point{} &&
-        now > job->deadline) {
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      job->deliver(job->id,
-                   refused(core::ErrorCode::Budget,
-                           "deadline of " +
-                               std::to_string(job->options.deadline_ms) +
-                               " ms expired before the job started"));
-    } else {
-      live.push_back(std::move(job));
-    }
-  }
-  if (live.empty()) return;
-  if (live.size() == 1) {
-    run_job(std::move(*live.front()));
-    return;
-  }
-
-  std::size_t delivered = 0;
-  try {
-    // One corpus resolve, one score-matrix build (or cache hit), one rank
-    // estimate per distinct (seed, tol) — then a single fused restart
-    // sweep. Each job's initializations come from its own options and
-    // context, so the demuxed results are bit-identical to solo runs.
-    const auto& proto = std::get<core::SnmfRequest>(live.front()->request.request);
-    std::string db_fp, td_fp;
-    const core::CorpusRef db =
-        resolve_corpus(proto.db, CorpusKind::Ciphers, &db_fp);
-    const core::CorpusRef td =
-        resolve_corpus(proto.trapdoors, CorpusKind::Ciphers, &td_fp);
-    if (db_fp.empty() || td_fp.empty()) {
-      throw core::Error(core::ErrorCode::BadInput,
-                        "snmf batch: corpus has no stable identity");
-    }
-    std::size_t sweep_threads = 1;
-    for (const auto& job : live) {
-      sweep_threads =
-          std::max(sweep_threads, job_context(job->options).resolved_threads());
-    }
-    const std::string score_key = db_fp + "#" + td_fp;
-    const auto scores = score_cache_.get_or_build(
-        score_key, options_.memory_budget_bytes, [&] {
-          return core::build_score_matrix(*db.ciphers, *td.ciphers,
-                                          sweep_threads);
-        });
-
-    std::vector<core::SnmfBatchJob> batch(live.size());
-    std::vector<std::size_t> estimated(live.size(), 0);
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      const auto& req = std::get<core::SnmfRequest>(live[i]->request.request);
-      core::ExecContext ctx = job_context(live[i]->options);
-      ctx.memory_budget_bytes = options_.memory_budget_bytes;
-      core::SnmfAttackOptions opts = req.options;
-      if (opts.rank == 0) {
-        // The same rank-estimate cache the solo path keeps: keyed on
-        // corpus, seed AND tolerance (the estimation identity).
-        const std::string rank_key = db_fp + "#" + td_fp +
-                                     "#seed=" + std::to_string(ctx.seed) +
-                                     "#tol=" + key_f64(opts.rank_tol);
-        std::size_t rank = 0;
-        {
-          std::lock_guard<std::mutex> lk(cache_mu_);
-          const auto it = rank_cache_.find(rank_key);
-          if (it != rank_cache_.end()) rank = it->second;
-        }
-        if (rank > 0) {
-          rank_hits_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          rank = core::estimate_latent_dimension(*scores, opts.rank_tol, ctx);
-          if (rank == 0) {
-            throw core::Error(core::ErrorCode::NotReady,
-                              "snmf: rank estimation found a zero matrix");
-          }
-          cache_rank(rank_key, rank);
-        }
-        opts.rank = rank;
-        estimated[i] = rank;
-      }
-      batch[i].options = opts;
-      batch[i].ctx = ctx;
-    }
-
-    std::vector<core::SnmfAttackResult> results =
-        core::run_snmf_attack_batch(*scores, batch);
-
-    batches_formed_.fetch_add(1, std::memory_order_relaxed);
-    batched_jobs_.fetch_add(live.size(), std::memory_order_relaxed);
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      core::AttackResponse resp;
-      auto res = std::move(results[i]);
-      if (estimated[i] > 0) {
-        res.telemetry.counters["snmf.estimated_rank"] =
-            static_cast<double>(estimated[i]);
-      }
-      resp.telemetry = res.telemetry;
-      resp.result = std::move(res);
-      resp.status = core::AttackStatus::Ok;
-      resp.error = core::ErrorCode::Ok;
-      // Batched jobs never carry want_telemetry; strip exactly as
-      // execute_resolved does.
-      resp.telemetry.spans.clear();
-      resp.telemetry.gauges.clear();
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      live[i]->deliver(live[i]->id, std::move(resp));
-      ++delivered;
-    }
-  } catch (...) {
-    // Anything the fused path cannot serve (unreadable corpus, rank
-    // failure, ...) falls back to solo execution, which reports the real
-    // per-job error through the normal taxonomy.
-    for (std::size_t i = delivered; i < live.size(); ++i) {
-      run_job(std::move(*live[i]));
-    }
+    // A raced pop (another worker emptied the queue between the wait and
+    // here) returns false and loops back into the wait.
+    run_one();
   }
 }
 
@@ -482,21 +282,18 @@ DaemonStats Daemon::stats() const {
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.expired = expired_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.corpus_cache_hits = corpus_hits_.load(std::memory_order_relaxed);
-  s.rank_cache_hits = rank_hits_.load(std::memory_order_relaxed);
-  s.lep_session_hits = lep_hits_.load(std::memory_order_relaxed);
-  s.snmf_resumes = snmf_resumes_.load(std::memory_order_relaxed);
-  s.batches_formed = batches_formed_.load(std::memory_order_relaxed);
-  s.batched_jobs = batched_jobs_.load(std::memory_order_relaxed);
-  s.affinity_hits = affinity_hits_.load(std::memory_order_relaxed);
-  s.basis_cache_hits = basis_hits_.load(std::memory_order_relaxed);
-  {
-    const auto sc = score_cache_.stats();
-    s.score_cache_hits = sc.hits;
-    s.score_cache_misses = sc.misses;
-    s.score_cache_evictions = sc.evictions;
-    s.score_cache_bytes = sc.resident_bytes;
-  }
+  const core::WarmStore::Stats warm = store_.stats();
+  s.corpus_cache_hits = warm[WarmKind::Corpus].hits;
+  s.rank_cache_hits = warm[WarmKind::Rank].hits;
+  s.lep_session_hits = warm[WarmKind::LepSession].hits;
+  s.snmf_resumes = warm[WarmKind::CoaSession].hits;
+  s.basis_cache_hits = warm[WarmKind::MipBasis].hits;
+  const core::WarmStore::KindStats& score = warm[WarmKind::Score];
+  s.score_cache_hits = score.hits;
+  s.score_cache_misses = score.misses;
+  s.score_cache_evictions = score.evictions;
+  s.score_cache_bytes = score.bytes;
+  s.cache_bytes = warm.bytes;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     s.queue_depth = queue_.size();
@@ -504,74 +301,53 @@ DaemonStats Daemon::stats() const {
   return s;
 }
 
-// ------------------------------------------------------------- warm caches
+// --------------------------------------------------------------- warm state
 
 core::CorpusRef Daemon::resolve_corpus(const core::CorpusRef& ref,
                                        CorpusKind kind,
-                                       std::string* fingerprint_out) {
-  if (fingerprint_out != nullptr) fingerprint_out->clear();
+                                       std::string& fingerprint) {
+  fingerprint.clear();
   if (ref.ciphers != nullptr || ref.vecs != nullptr || ref.path.empty()) {
     return ref;  // inline (no stable identity) or empty (dispatch validates)
   }
   const auto fp = stat_fingerprint(ref.path);
   if (!fp) return ref;  // unreadable: let the loader raise the io error
-  const bool ciphers = kind == CorpusKind::Ciphers;
+  const std::string key = core::warm_key(*fp, static_cast<int>(kind));
   core::CorpusRef out;
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    const auto it = corpus_cache_.find(ref.path);
-    if (it != corpus_cache_.end() && it->second.fingerprint == *fp) {
-      if (ciphers) {
-        out.ciphers = it->second.ciphers;
-      } else {
-        out.vecs = it->second.vecs;
-      }
-    }
-  }
-  if (out.ciphers != nullptr || out.vecs != nullptr) {
-    corpus_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (kind == CorpusKind::Ciphers) {
+    using Ciphers = const std::vector<scheme::CipherPair>;
+    out.ciphers = store_.get_or_build<Ciphers>(WarmKind::Corpus, key, [&] {
+      auto loaded = ref.load_ciphers("corpus");
+      std::size_t doubles = 0;
+      for (const auto& c : *loaded) doubles += c.a.size() + c.b.size();
+      return Built<Ciphers>{loaded, doubles * sizeof(double)};
+    });
   } else {
-    if (ciphers) {
-      out.ciphers = ref.load_ciphers("corpus");
-    } else {
-      out.vecs = ref.load_vecs("corpus");
-    }
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (corpus_cache_.size() >= options_.max_cache_entries &&
-        corpus_cache_.count(ref.path) == 0) {
-      corpus_cache_.clear();
-    }
-    auto& entry = corpus_cache_[ref.path];
-    if (entry.fingerprint != *fp) entry = CorpusEntry{};  // file changed
-    entry.fingerprint = *fp;
-    if (ciphers) {
-      entry.ciphers = out.ciphers;
-    } else {
-      entry.vecs = out.vecs;
-    }
+    using Vecs = const std::vector<Vec>;
+    out.vecs = store_.get_or_build<Vecs>(WarmKind::Corpus, key, [&] {
+      auto loaded = ref.load_vecs("corpus");
+      std::size_t doubles = 0;
+      for (const auto& v : *loaded) doubles += v.size();
+      return Built<Vecs>{loaded, doubles * sizeof(double)};
+    });
   }
-  if (fingerprint_out != nullptr) *fingerprint_out = *fp;
+  fingerprint = *fp;
   return out;
-}
-
-void Daemon::cache_rank(const std::string& key, std::size_t rank) {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  if (rank_cache_.size() >= options_.max_cache_entries &&
-      rank_cache_.count(key) == 0) {
-    rank_cache_.clear();
-  }
-  rank_cache_[key] = rank;
 }
 
 // --------------------------------------------------------------- execution
 
 core::AttackResponse Daemon::execute(const core::AttackRequest& request,
                                      const JobOptions& options) {
+  core::AttackResponse resp;
   try {
-    return execute_resolved(request, options);
+    resp = execute_resolved(request, options);
   } catch (const std::exception& e) {
-    return refused(core::error_code_of(e), e.what());
+    resp = refused(core::error_code_of(e), e.what());
   }
+  // The job has let go of its warm state: settle back under the budget.
+  store_.trim();
+  return resp;
 }
 
 core::AttackResponse Daemon::execute_resolved(
@@ -587,132 +363,11 @@ core::AttackResponse Daemon::execute_resolved(
       [&](const auto& typed) -> core::AttackResponse {
         using T = std::decay_t<decltype(typed)>;
         if constexpr (std::is_same_v<T, core::LepRequest>) {
-          core::LepRequest r = typed;
-          std::string kp_fp, db_fp, td_fp;
-          r.known_plain =
-              resolve_corpus(typed.known_plain, CorpusKind::Vecs, &kp_fp);
-          r.db = resolve_corpus(typed.db, CorpusKind::Ciphers, &db_fp);
-          r.trapdoors =
-              resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, &td_fp);
-          if (!kp_fp.empty() && !db_fp.empty() && !td_fp.empty()) {
-            std::ostringstream key;
-            key << kp_fp << '#' << db_fp << '#' << td_fp
-                << "#tol=" << r.options.independence_tol;
-            return execute_lep_warm(r, key.str(), ctx);
-          }
-          core::AttackRequest resolved;
-          resolved.request = std::move(r);
-          return core::dispatch_attack(resolved, ctx);
+          return execute_lep(typed, ctx);
         } else if constexpr (std::is_same_v<T, core::MipRequest>) {
-          core::MipRequest r = typed;
-          std::string kp_fp, db_fp, td_fp;
-          r.known_plain =
-              resolve_corpus(typed.known_plain, CorpusKind::Vecs, &kp_fp);
-          r.db = resolve_corpus(typed.db, CorpusKind::Ciphers, &db_fp);
-          r.trapdoors =
-              resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, &td_fp);
-          const bool identified =
-              !kp_fp.empty() && !db_fp.empty() && !td_fp.empty();
-          core::AttackRequest resolved;
-          resolved.request = std::move(r);
-          if (!identified) return core::dispatch_attack(resolved, ctx);
-          // Persistent MIP basis cache: repeated jobs over the same corpora
-          // and parameters warm-start the root LP from the cached basis.
-          // run_mip_attack self-invalidates on model-digest mismatch,
-          // so the parameter key only scopes contention; correctness never
-          // depends on it. The entry mutex serializes the whole attack per
-          // key — two identical jobs never race on the shared basis.
-          std::ostringstream key;
-          key << kp_fp << '#' << db_fp << '#' << td_fp
-              << "#tid=" << typed.trapdoor_id << "#mu=" << key_f64(typed.mu)
-              << "#sigma=" << key_f64(typed.sigma)
-              << "#l=" << key_f64(typed.options.l)
-              << "#tl=" << key_f64(typed.options.solver.time_limit_seconds)
-              << "#nodes=" << typed.options.solver.max_nodes;
-          std::shared_ptr<MipBasisEntry> entry;
-          {
-            std::lock_guard<std::mutex> lk(cache_mu_);
-            if (mip_basis_.size() >= options_.max_cache_entries &&
-                mip_basis_.count(key.str()) == 0) {
-              mip_basis_.clear();
-            }
-            auto& slot = mip_basis_[key.str()];
-            if (slot == nullptr) slot = std::make_shared<MipBasisEntry>();
-            entry = slot;
-          }
-          std::lock_guard<std::mutex> lk(entry->mu);
-          const bool warm = entry->state.has_root_basis;
-          if (warm) basis_hits_.fetch_add(1, std::memory_order_relaxed);
-          core::DispatchHooks hooks;
-          hooks.mip_warm = &entry->state;
-          return core::dispatch_attack(resolved, ctx, hooks);
+          return execute_mip(typed, ctx);
         } else {
-          core::SnmfRequest r = typed;
-          std::string db_fp, td_fp;
-          r.db = resolve_corpus(typed.db, CorpusKind::Ciphers, &db_fp);
-          r.trapdoors =
-              resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, &td_fp);
-          const bool identified = !db_fp.empty() && !td_fp.empty();
-          if (r.reuse_session && identified) {
-            std::ostringstream key;
-            key << db_fp << '#' << td_fp << "#rank=" << r.options.rank
-                << "#restarts=" << r.options.restarts
-                << "#iters=" << r.options.nmf.max_iterations
-                << "#theta=" << r.options.theta
-                << "#tol=" << key_f64(r.options.rank_tol)
-                << "#seed=" << ctx.seed;
-            return execute_snmf_warm(r, key.str(), ctx);
-          }
-          // Shared score-matrix cache: every stage of this job (and every
-          // later job over the same corpora) reads one resident R. A cache
-          // hit is bit-identical to a rebuild, so this never changes output.
-          core::DispatchHooks hooks;
-          if (identified) {
-            hooks.score_cache = &score_cache_;
-            hooks.score_key = db_fp + "#" + td_fp;
-          }
-          // Rank-estimate cache: the estimate is deterministic per
-          // (corpus, seed, tolerance), so replaying a cached rank
-          // reproduces the cold run bit for bit while skipping the SVD.
-          // The tolerance is part of the key — two jobs differing only in
-          // rank_tol may legitimately disagree on the estimate.
-          std::string rank_key;
-          std::size_t cached_rank = 0;
-          if (r.options.rank == 0 && identified) {
-            rank_key = db_fp + "#" + td_fp +
-                       "#seed=" + std::to_string(ctx.seed) +
-                       "#tol=" + key_f64(r.options.rank_tol);
-            std::lock_guard<std::mutex> lk(cache_mu_);
-            const auto it = rank_cache_.find(rank_key);
-            if (it != rank_cache_.end()) cached_rank = it->second;
-          }
-          if (cached_rank > 0) {
-            rank_hits_.fetch_add(1, std::memory_order_relaxed);
-            r.options.rank = cached_rank;
-            core::AttackRequest resolved;
-            resolved.request = std::move(r);
-            core::AttackResponse out =
-                core::dispatch_attack(resolved, ctx, hooks);
-            if (out.ok()) {
-              const auto rank = static_cast<double>(cached_rank);
-              out.telemetry.counters["snmf.estimated_rank"] = rank;
-              if (auto* res =
-                      std::get_if<core::SnmfAttackResult>(&out.result)) {
-                res->telemetry.counters["snmf.estimated_rank"] = rank;
-              }
-            }
-            return out;
-          }
-          core::AttackRequest resolved;
-          resolved.request = std::move(r);
-          core::AttackResponse out =
-              core::dispatch_attack(resolved, ctx, hooks);
-          if (!rank_key.empty() && out.ok()) {
-            const auto rank = static_cast<std::size_t>(
-                out.telemetry.counter("snmf.estimated_rank"));
-            if (rank > 0) cache_rank(rank_key, rank);
-          }
-          return out;
+          return execute_snmf(typed, ctx);
         }
       },
       request.request);
@@ -724,129 +379,138 @@ core::AttackResponse Daemon::execute_resolved(
   return resp;
 }
 
-core::AttackResponse Daemon::execute_lep_warm(const core::LepRequest& req,
-                                              const std::string& key,
-                                              const core::ExecContext& ctx) {
-  std::shared_ptr<LepEntry> entry;
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (lep_sessions_.size() >= options_.max_cache_entries &&
-        lep_sessions_.count(key) == 0) {
-      lep_sessions_.clear();
-    }
-    auto& slot = lep_sessions_[key];
-    if (slot == nullptr) slot = std::make_shared<LepEntry>();
-    entry = slot;
+core::AttackResponse Daemon::execute_lep(const core::LepRequest& typed,
+                                         const core::ExecContext& ctx) {
+  core::LepRequest req = typed;
+  std::string kp_fp, db_fp, td_fp;
+  req.known_plain = resolve_corpus(typed.known_plain, CorpusKind::Vecs, kp_fp);
+  req.db = resolve_corpus(typed.db, CorpusKind::Ciphers, db_fp);
+  req.trapdoors = resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, td_fp);
+  if (kp_fp.empty() || db_fp.empty() || td_fp.empty()) {
+    return dispatch(std::move(req), ctx);
   }
 
   // The recording wraps session build *and* assemble; the session itself
   // runs with a null sink (its spans land in this recording).
   obs::ScopedRecording rec(ctx.sink);
-  std::lock_guard<std::mutex> lk(entry->mu);
-  if (entry->session.has_value()) {
-    lep_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    const auto known = req.known_plain.load_vecs("lep known-plain");
-    const auto db = req.db.load_ciphers("lep db");
-    const auto trapdoors = req.trapdoors.load_ciphers("lep trapdoors");
-    if (known->size() > db->size()) {
-      throw core::Error(core::ErrorCode::BadInput,
-                        "lep: more known records than ciphertexts");
-    }
-    core::ExecContext session_ctx = ctx;
-    session_ctx.sink = nullptr;
-    try {
-      entry->session.emplace(req.options, session_ctx);
-      std::vector<sse::KnownIndexPair> pairs;
-      pairs.reserve(known->size());
-      for (std::size_t i = 0; i < known->size(); ++i) {
-        pairs.push_back({scheme::make_index((*known)[i]), (*db)[i]});
-      }
-      entry->session->add_known_pairs(pairs);
-      sse::CoaView view;
-      view.cipher_indexes = *db;
-      view.cipher_trapdoors = *trapdoors;
-      entry->session->append_ciphertexts(view);
-    } catch (...) {
-      entry->session.reset();  // never cache a half-built session
-      throw;
-    }
-  }
+  const auto session = store_.get_or_build<const core::LepSession>(
+      WarmKind::LepSession,
+      lep_session_key(core::warm_key(kp_fp, db_fp, td_fp), req.options), [&] {
+        const auto known = req.known_plain.load_vecs("lep known-plain");
+        const auto db = req.db.load_ciphers("lep db");
+        const auto trapdoors = req.trapdoors.load_ciphers("lep trapdoors");
+        if (known->size() > db->size()) {
+          throw core::Error(core::ErrorCode::BadInput,
+                            "lep: more known records than ciphertexts");
+        }
+        core::ExecContext session_ctx = ctx;
+        session_ctx.sink = nullptr;
+        auto built =
+            std::make_shared<core::LepSession>(req.options, session_ctx);
+        std::vector<sse::KnownIndexPair> pairs;
+        pairs.reserve(known->size());
+        for (std::size_t i = 0; i < known->size(); ++i) {
+          pairs.push_back({scheme::make_index((*known)[i]), (*db)[i]});
+        }
+        built->add_known_pairs(pairs);
+        sse::CoaView view;
+        view.cipher_indexes = *db;
+        view.cipher_trapdoors = *trapdoors;
+        built->append_ciphertexts(view);
+        return Built<const core::LepSession>{built, built->resident_bytes()};
+      });
 
-  core::AttackResponse resp;
   // result() is bit-identical to run_lep_attack on the same view (the
   // session contract), so warm hits return exactly the cold answer.
-  auto res = entry->session->result();
+  auto res = session->result();
   res.telemetry.absorb(rec.finish());
-  resp.telemetry = res.telemetry;
-  resp.result = std::move(res);
-  resp.status = core::AttackStatus::Ok;
-  resp.error = core::ErrorCode::Ok;
+  return ok_response(std::move(res));
+}
+
+core::AttackResponse Daemon::execute_mip(const core::MipRequest& typed,
+                                         const core::ExecContext& ctx) {
+  core::MipRequest req = typed;
+  std::string kp_fp, db_fp, td_fp;
+  req.known_plain = resolve_corpus(typed.known_plain, CorpusKind::Vecs, kp_fp);
+  req.db = resolve_corpus(typed.db, CorpusKind::Ciphers, db_fp);
+  req.trapdoors = resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, td_fp);
+  if (kp_fp.empty() || db_fp.empty() || td_fp.empty()) {
+    return dispatch(std::move(req), ctx);
+  }
+
+  // Repeated jobs over the same corpora and parameters warm-start the root
+  // LP from the stored basis; the entry is built empty and filled by the
+  // first attack, so its bytes are recorded after each run.
+  const std::string key =
+      mip_basis_key(core::warm_key(kp_fp, db_fp, td_fp), req);
+  const auto entry =
+      store_.get_or_build<MipBasisEntry>(WarmKind::MipBasis, key, [] {
+        return Built<MipBasisEntry>{std::make_shared<MipBasisEntry>(), 0};
+      });
+  std::lock_guard<std::mutex> lk(entry->mu);
+  core::DispatchHooks hooks;
+  hooks.mip_warm = &entry->state;
+  core::AttackResponse resp = dispatch(std::move(req), ctx, hooks);
+  store_.resize(WarmKind::MipBasis, key, basis_bytes(entry->state.root_basis));
   return resp;
 }
 
-core::AttackResponse Daemon::execute_snmf_warm(const core::SnmfRequest& req,
-                                               const std::string& key,
-                                               const core::ExecContext& ctx) {
-  std::shared_ptr<CoaEntry> entry;
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (coa_sessions_.size() >= options_.max_cache_entries &&
-        coa_sessions_.count(key) == 0) {
-      coa_sessions_.clear();
-    }
-    auto& slot = coa_sessions_[key];
-    if (slot == nullptr) slot = std::make_shared<CoaEntry>();
-    entry = slot;
+core::AttackResponse Daemon::execute_snmf(const core::SnmfRequest& typed,
+                                          const core::ExecContext& ctx) {
+  core::SnmfRequest req = typed;
+  std::string db_fp, td_fp;
+  req.db = resolve_corpus(typed.db, CorpusKind::Ciphers, db_fp);
+  req.trapdoors = resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, td_fp);
+  if (db_fp.empty() || td_fp.empty()) return dispatch(std::move(req), ctx);
+  const std::string corpora = core::warm_key(db_fp, td_fp);
+
+  if (!req.reuse_session) {
+    // Dispatch reads the score matrix and the rank estimate through the
+    // store; both builds are deterministic, so a hit never changes output.
+    core::DispatchHooks hooks;
+    hooks.store = &store_;
+    hooks.score_key = corpora;
+    return dispatch(std::move(req), ctx, hooks);
   }
 
+  const std::string key = coa_session_key(corpora, req.options, ctx);
   obs::ScopedRecording rec(ctx.sink);
-  std::lock_guard<std::mutex> lk(entry->mu);
-  const bool fresh = !entry->session.has_value();
-  if (fresh) {
-    const auto db = req.db.load_ciphers("snmf db");
-    const auto trapdoors = req.trapdoors.load_ciphers("snmf trapdoors");
-    core::ExecContext session_ctx = ctx;
-    session_ctx.sink = nullptr;
-    try {
-      entry->session.emplace(req.options, session_ctx);
-      sse::CoaView view;
-      view.cipher_indexes = *db;
-      view.cipher_trapdoors = *trapdoors;
-      entry->session->append_ciphertexts(view);
-      std::size_t rank = req.options.rank;
-      if (rank == 0) {
-        rank = entry->session->estimate_rank(req.options.rank_tol);
+  const auto entry =
+      store_.get_or_build<CoaEntry>(WarmKind::CoaSession, key, [&] {
+        const auto db = req.db.load_ciphers("snmf db");
+        const auto trapdoors = req.trapdoors.load_ciphers("snmf trapdoors");
+        core::ExecContext session_ctx = ctx;
+        session_ctx.sink = nullptr;
+        auto built = std::make_shared<CoaEntry>(req.options, session_ctx);
+        sse::CoaView view;
+        view.cipher_indexes = *db;
+        view.cipher_trapdoors = *trapdoors;
+        built->session.append_ciphertexts(view);
+        std::size_t rank = req.options.rank;
         if (rank == 0) {
-          throw core::Error(core::ErrorCode::NotReady,
-                            "snmf: rank estimation found a zero matrix");
+          rank = built->session.estimate_rank(req.options.rank_tol);
+          if (rank == 0) {
+            throw core::Error(core::ErrorCode::NotReady,
+                              "snmf: rank estimation found a zero matrix");
+          }
         }
-      }
-      entry->session->set_rank(rank);
-      entry->rank = rank;
-    } catch (...) {
-      entry->session.reset();
-      throw;
-    }
-  } else {
-    snmf_resumes_.fetch_add(1, std::memory_order_relaxed);
-  }
+        built->session.set_rank(rank);
+        built->rank = rank;
+        return Built<CoaEntry>{built, built->session.resident_bytes()};
+      });
 
-  core::AttackResponse resp;
+  std::lock_guard<std::mutex> lk(entry->mu);
   // First attack of a fresh session == run_snmf_attack bit for bit; later
   // calls warm-resume (same fixed point, not bitwise — which is why this
   // path requires the reuse_session opt-in).
-  auto res = entry->session->attack();
+  auto res = entry->session.attack();
+  store_.resize(WarmKind::CoaSession, key, entry->session.resident_bytes());
   if (req.options.rank == 0) {
     res.telemetry.counters["snmf.estimated_rank"] =
         static_cast<double>(entry->rank);
   }
   res.telemetry.absorb(rec.finish());
-  resp.telemetry = res.telemetry;
-  resp.result = std::move(res);
-  resp.status = core::AttackStatus::Ok;
-  resp.error = core::ErrorCode::Ok;
-  return resp;
+  return ok_response(std::move(res));
 }
 
 // ------------------------------------------------------------------ server
@@ -926,6 +590,30 @@ void Server::accept_loop() {
   }
 }
 
+void Server::submit_job(const std::shared_ptr<Connection>& conn,
+                        core::AttackRequest request,
+                        const JobOptions& options) {
+  // Accepted must precede Result on the wire even when the daemon delivers
+  // synchronously (queue-full refusal) or a worker finishes before submit()
+  // returns — both deliver paths and this thread race through this
+  // once-guard with the same id.
+  auto accept_once = std::make_shared<std::once_flag>();
+  auto send_accepted = [conn, accept_once](std::uint64_t id) {
+    std::call_once(*accept_once, [&] {
+      WireWriter w;
+      w.u64(id);
+      conn->send(FrameType::Accepted, w.bytes());
+    });
+  };
+  const auto id = daemon_.submit(
+      std::move(request), options,
+      [conn, send_accepted](std::uint64_t job_id, core::AttackResponse&& resp) {
+        send_accepted(job_id);
+        conn->send(FrameType::Result, build_result_payload(job_id, resp));
+      });
+  send_accepted(id);
+}
+
 void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
   try {
     for (;;) {
@@ -937,27 +625,7 @@ void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
           JobOptions jopts = decode_job_options(r);
           core::AttackRequest req = decode_request(r);
           r.expect_end("svc submit frame");
-          // Accepted must precede Result on the wire even when the daemon
-          // delivers synchronously (queue-full refusal) or a worker
-          // finishes before submit() returns — both deliver paths and the
-          // handler race through this once-guard with the same id.
-          auto accept_once = std::make_shared<std::once_flag>();
-          auto send_accepted = [conn, accept_once](std::uint64_t id) {
-            std::call_once(*accept_once, [&] {
-              WireWriter w;
-              w.u64(id);
-              conn->send(FrameType::Accepted, w.bytes());
-            });
-          };
-          const auto id = daemon_.submit(
-              std::move(req), jopts,
-              [conn, send_accepted](std::uint64_t job_id,
-                                    core::AttackResponse&& resp) {
-                send_accepted(job_id);
-                conn->send(FrameType::Result,
-                           build_result_payload(job_id, resp));
-              });
-          send_accepted(id);
+          submit_job(conn, std::move(req), jopts);
           break;
         }
         case FrameType::SubmitBatch: {
@@ -965,41 +633,19 @@ void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
           // Minimum bytes per job: the fixed-size JobOptions block (26)
           // plus a one-byte request tag.
           const std::size_t n = r.count(27, "svc submit-batch job count");
-          std::vector<BatchJob> jobs(n);
-          for (auto& job : jobs) {
-            job.options = decode_job_options(r);
-            job.request = decode_request(r);
+          std::vector<std::pair<JobOptions, core::AttackRequest>> jobs;
+          jobs.reserve(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            JobOptions jopts = decode_job_options(r);
+            jobs.emplace_back(jopts, decode_request(r));
           }
           r.expect_end("svc submit-batch frame");
-          // Per job, its Accepted frame precedes its Result frame — the
-          // Submit once-guard generalized to a set of ids, since a worker
-          // (or a synchronous refusal) can deliver before submit_batch
-          // returns the id list to this thread.
-          struct AcceptGuard {
-            std::mutex mu;
-            std::set<std::uint64_t> sent;
-            bool first(std::uint64_t id) {
-              std::lock_guard<std::mutex> lk(mu);
-              return sent.insert(id).second;
-            }
-          };
-          auto guard = std::make_shared<AcceptGuard>();
-          const auto send_accepted = [conn, guard](std::uint64_t id) {
-            if (guard->first(id)) {
-              WireWriter w;
-              w.u64(id);
-              conn->send(FrameType::Accepted, w.bytes());
-            }
-          };
-          const auto ids = daemon_.submit_batch(
-              std::move(jobs),
-              [conn, send_accepted](std::uint64_t job_id,
-                                    core::AttackResponse&& resp) {
-                send_accepted(job_id);
-                conn->send(FrameType::Result,
-                           build_result_payload(job_id, resp));
-              });
-          for (const auto id : ids) send_accepted(id);
+          // Each job is an ordinary Submit; their Accepted frames go out
+          // in batch order because each submit_job sends its own before
+          // the next job is queued.
+          for (auto& [jopts, req] : jobs) {
+            submit_job(conn, std::move(req), jopts);
+          }
           break;
         }
         case FrameType::Cancel: {

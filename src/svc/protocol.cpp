@@ -369,6 +369,7 @@ void encode_daemon_stats(WireWriter& w, const DaemonStats& stats) {
   w.u64(stats.score_cache_evictions);
   w.u64(stats.score_cache_bytes);
   w.u64(stats.queue_depth);
+  w.u64(stats.cache_bytes);
 }
 
 DaemonStats decode_daemon_stats(WireReader& r) {
@@ -391,6 +392,7 @@ DaemonStats decode_daemon_stats(WireReader& r) {
   stats.score_cache_evictions = r.u64();
   stats.score_cache_bytes = r.u64();
   stats.queue_depth = static_cast<std::size_t>(r.u64());
+  stats.cache_bytes = r.u64();
   return stats;
 }
 

@@ -55,10 +55,9 @@ enum class FrameType : std::uint32_t {
   Ping = 3,
   Shutdown = 4,
   /// N jobs in one frame: u64 count, then count x (JobOptions, request).
-  /// The server answers with one Accepted frame per job, in submission
-  /// order, before any Result — so the client learns every id up front —
-  /// and the daemon's scheduler sees the whole batch at once (compatible
-  /// SNMF jobs coalesce into one fused sweep; see docs/svc.md).
+  /// The server queues each job as if it came in its own Submit frame and
+  /// answers with one Accepted frame per job, in submission order, each
+  /// before that job's Result.
   SubmitBatch = 5,
   // server -> client
   Accepted = 16,
@@ -104,17 +103,20 @@ struct DaemonStats {
   std::uint64_t corpus_cache_hits = 0;
   std::uint64_t rank_cache_hits = 0;
   std::uint64_t lep_session_hits = 0;
-  std::uint64_t snmf_resumes = 0;
-  // Batched scheduling (PR 10): fused SNMF sweeps and warm-state reuse.
-  std::uint64_t batches_formed = 0;   // fused sweeps executed
-  std::uint64_t batched_jobs = 0;     // jobs that rode in a fused sweep
-  std::uint64_t affinity_hits = 0;    // jobs scheduled onto warm state
-  std::uint64_t basis_cache_hits = 0; // MIP jobs warm-started from a basis
+  std::uint64_t snmf_resumes = 0;      // CoA session hits
+  // Retired with the batching scheduler: always 0, kept so the Pong
+  // layout (and readers of these fields) stay unchanged.
+  std::uint64_t batches_formed = 0;
+  std::uint64_t batched_jobs = 0;
+  std::uint64_t affinity_hits = 0;
+  std::uint64_t basis_cache_hits = 0;  // MIP basis hits
+  // The warm-state store's score-matrix kind.
   std::uint64_t score_cache_hits = 0;
   std::uint64_t score_cache_misses = 0;
   std::uint64_t score_cache_evictions = 0;
   std::uint64_t score_cache_bytes = 0;  // snapshot, not monotonic
   std::size_t queue_depth = 0;          // snapshot, not monotonic
+  std::uint64_t cache_bytes = 0;  // store bytes over all kinds, snapshot
 };
 
 // --------------------------------------------------------- payload codecs

@@ -753,13 +753,13 @@ TEST_F(SvcEndToEnd, DaemonMatchesCliBitForBitAtOneAndEightThreads) {
             read_file(path("snmf_cli_t8.txt")));
 }
 
-// ------------------------------------- batched, cache-affine scheduling
+// ------------------------------------ FIFO scheduling over the warm store
 
 class SvcScheduler : public SvcPipeline {
  protected:
   /// Copy the SNMF corpus under new names: identical content, different
-  /// paths, so the copy is a distinct corpus identity (affinity key,
-  /// fingerprint, score-cache key).
+  /// paths, so the copy is a distinct corpus identity (fingerprint, store
+  /// keys).
   void copy_snmf_corpus(const std::string& db2, const std::string& td2) {
     fs::copy_file(path("db.txt"), path(db2));
     fs::copy_file(path("td.txt"), path(td2));
@@ -837,50 +837,6 @@ class SvcScheduler : public SvcPipeline {
   }
 };
 
-TEST_F(SvcScheduler, FusedSnmfSweepIsBitIdenticalToSolo) {
-  make_snmf_corpus();
-
-  // Solo references from a fresh daemon: seed 2017 (the CLI default) and
-  // one odd seed, so the fused sweep must demultiplex per-job state.
-  JobOptions defaults;  // seed 2017
-  JobOptions odd;
-  odd.seed = 7;
-  Daemon solo{DaemonOptions{}};
-  const core::AttackResponse ref_default =
-      solo.execute(snmf_request(), defaults);
-  const core::AttackResponse ref_odd = solo.execute(snmf_request(), odd);
-  ASSERT_TRUE(ref_default.ok()) << ref_default.message;
-  ASSERT_TRUE(ref_odd.ok()) << ref_odd.message;
-
-  DaemonOptions dopt;
-  dopt.workers = 0;  // stepping mode: one run_scheduled call = one batch
-  Daemon daemon(dopt);
-  std::vector<std::uint64_t> order;
-  std::map<std::uint64_t, core::AttackResponse> got;
-  const auto deliver = [&](std::uint64_t id, core::AttackResponse&& resp) {
-    order.push_back(id);
-    got.emplace(id, std::move(resp));
-  };
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 8; ++i) {
-    ids.push_back(
-        daemon.submit(snmf_request(), i == 3 ? odd : defaults, deliver));
-  }
-
-  // All eight coalesce into one fused restart sweep...
-  EXPECT_EQ(daemon.run_scheduled(), 8u);
-  const DaemonStats st = daemon.stats();
-  EXPECT_EQ(st.batches_formed, 1u);
-  EXPECT_EQ(st.batched_jobs, 8u);
-  EXPECT_EQ(st.completed, 8u);
-  // ...delivered in submission order, each bit-identical to its solo run.
-  EXPECT_EQ(order, ids);
-  ASSERT_EQ(got.size(), 8u);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    expect_same_snmf(got.at(ids[i]), i == 3 ? ref_odd : ref_default);
-  }
-}
-
 TEST_F(SvcScheduler, BatchSubmitMatchesSoloAtEightWorkers) {
   make_snmf_corpus();
   Daemon solo{DaemonOptions{}};
@@ -890,94 +846,27 @@ TEST_F(SvcScheduler, BatchSubmitMatchesSoloAtEightWorkers) {
   DaemonOptions dopt;
   dopt.workers = 8;
   Daemon daemon(dopt);
-  std::vector<BatchJob> jobs(8);
-  for (auto& job : jobs) job.request = snmf_request();
 
   std::mutex mu;
   std::condition_variable cv;
   std::map<std::uint64_t, core::AttackResponse> got;
-  const std::vector<std::uint64_t> ids =
-      daemon.submit_batch(jobs, [&](std::uint64_t id,
-                                    core::AttackResponse&& resp) {
-        std::lock_guard<std::mutex> lk(mu);
-        got.emplace(id, std::move(resp));
-        cv.notify_all();
-      });
-  ASSERT_EQ(ids.size(), 8u);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(daemon.submit(
+        snmf_request(), {},
+        [&](std::uint64_t id, core::AttackResponse&& resp) {
+          std::lock_guard<std::mutex> lk(mu);
+          got.emplace(id, std::move(resp));
+          cv.notify_all();
+        }));
+  }
   {
     std::unique_lock<std::mutex> lk(mu);
     ASSERT_TRUE(cv.wait_for(lk, 120s, [&] { return got.size() == 8u; }));
   }
-  // Regardless of how the workers raced for the batch, every job's output
-  // is bit-identical to the solo run.
+  // However the workers raced for the jobs and the shared warm state,
+  // every job's output is bit-identical to the solo run.
   for (const std::uint64_t id : ids) expect_same_snmf(got.at(id), ref);
-}
-
-TEST_F(SvcScheduler, AffinityPickNeverJumpsDeadlineJobs) {
-  make_snmf_corpus();
-  copy_snmf_corpus("db2.txt", "td2.txt");
-
-  DaemonOptions dopt;
-  dopt.workers = 0;
-  Daemon daemon(dopt);
-  std::vector<std::uint64_t> order;
-  const auto deliver = [&](std::uint64_t id, core::AttackResponse&& resp) {
-    EXPECT_TRUE(resp.ok()) << resp.message;
-    order.push_back(id);
-  };
-
-  // Warm the scheduler's affinity onto corpus X.
-  const std::uint64_t warm = daemon.submit(snmf_request(), {}, deliver);
-  EXPECT_EQ(daemon.run_scheduled(), 1u);
-
-  // A deadline-bearing job on corpus Y queued ahead of an X job: affinity
-  // would prefer the X job, but the starvation bound forbids jumping a
-  // deadline-bearing job.
-  JobOptions with_deadline;
-  with_deadline.deadline_ms = 60'000;  // far future: bears a deadline, holds
-  const std::uint64_t y_job = daemon.submit(
-      snmf_request_at("db2.txt", "td2.txt"), with_deadline, deliver);
-  const std::uint64_t x_job = daemon.submit(snmf_request(), {}, deliver);
-
-  EXPECT_EQ(daemon.run_scheduled(), 1u);  // Y, despite the warm X state
-  EXPECT_EQ(daemon.run_scheduled(), 1u);  // then X
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{warm, y_job, x_job}));
-}
-
-TEST_F(SvcScheduler, AffinityBypassBoundIsEnforced) {
-  make_snmf_corpus();
-  copy_snmf_corpus("db2.txt", "td2.txt");
-
-  DaemonOptions dopt;
-  dopt.workers = 0;
-  dopt.max_affinity_bypass = 1;
-  Daemon daemon(dopt);
-  std::vector<std::uint64_t> order;
-  const auto deliver = [&](std::uint64_t id, core::AttackResponse&& resp) {
-    EXPECT_TRUE(resp.ok()) << resp.message;
-    order.push_back(id);
-  };
-
-  const std::uint64_t warm = daemon.submit(snmf_request(), {}, deliver);
-  EXPECT_EQ(daemon.run_scheduled(), 1u);
-
-  // want_telemetry suppresses coalescing, so the X jobs exercise the pure
-  // affinity pick rather than riding one fused sweep.
-  JobOptions telemetry;
-  telemetry.want_telemetry = true;
-  const std::uint64_t y_job = daemon.submit(
-      snmf_request_at("db2.txt", "td2.txt"), telemetry, deliver);
-  const std::uint64_t x1 = daemon.submit(snmf_request(), telemetry, deliver);
-  const std::uint64_t x2 = daemon.submit(snmf_request(), telemetry, deliver);
-
-  // Step 1: affinity picks x1, bypassing y_job once (now at the bound).
-  // Step 2: x2 still matches the warm state, but y_job is un-bypassable —
-  // FIFO front wins. Step 3: x2.
-  EXPECT_EQ(daemon.run_scheduled(), 1u);
-  EXPECT_EQ(daemon.run_scheduled(), 1u);
-  EXPECT_EQ(daemon.run_scheduled(), 1u);
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{warm, x1, y_job, x2}));
-  EXPECT_GE(daemon.stats().affinity_hits, 1u);
 }
 
 TEST_F(SvcScheduler, MipBasisCacheIsBitIdenticalAndShapeKeyed) {
@@ -1068,6 +957,148 @@ TEST_F(SvcScheduler, RankEstimateCacheKeysOnTolerance) {
   expect_same_snmf(base, base_warm);
 }
 
+// ------------------------------------------------ warm-state keys and budget
+
+class SvcWarmState : public SvcScheduler {
+ protected:
+  /// A copy of corpus file `name` under a per-copy name: same bytes, its
+  /// own fingerprint, so every copy is its own warm state.
+  core::CorpusRef copy_of(const std::string& name, int copy) const {
+    const std::string to = "c" + std::to_string(copy) + "_" + name;
+    fs::copy_file(path(name), path(to));
+    return core::CorpusRef::from_path(path(to));
+  }
+
+  static void expect_same_answer(const core::AttackResponse& a,
+                                 const core::AttackResponse& b) {
+    ASSERT_TRUE(a.ok()) << a.message;
+    ASSERT_TRUE(b.ok()) << b.message;
+    ASSERT_EQ(a.result.index(), b.result.index());
+    if (std::holds_alternative<core::LepResult>(a.result)) {
+      EXPECT_EQ(a.lep().records, b.lep().records);
+      EXPECT_EQ(a.lep().queries, b.lep().queries);
+      EXPECT_EQ(a.lep().trapdoors, b.lep().trapdoors);
+    } else if (std::holds_alternative<core::MipAttackResult>(a.result)) {
+      EXPECT_EQ(a.mip().query, b.mip().query);
+      EXPECT_EQ(a.mip().rhat, b.mip().rhat);
+      EXPECT_EQ(a.mip().that, b.mip().that);
+    } else {
+      expect_same_snmf(a, b);
+    }
+  }
+};
+
+TEST_F(SvcWarmState, CoaSessionKeyCoversEveryOptionAndDeterminism) {
+  make_snmf_corpus();
+  core::AttackRequest base = snmf_request();
+  std::get<core::SnmfRequest>(base.request).reuse_session = true;
+  core::AttackRequest sparse = base;
+  std::get<core::SnmfRequest>(sparse.request).options.nmf.lambda = 5.0;
+  JobOptions streams;
+  streams.deterministic = false;
+
+  Daemon daemon{DaemonOptions{}};
+  ASSERT_TRUE(daemon.execute(base, {}).ok());
+  // A different NMF penalty or RNG stream mode is a different session: each
+  // job gets a fresh one, so it answers exactly like a fresh daemon.
+  const core::AttackResponse got_sparse = daemon.execute(sparse, {});
+  const core::AttackResponse got_streams = daemon.execute(base, streams);
+  EXPECT_EQ(daemon.stats().snmf_resumes, 0u);
+  expect_same_snmf(got_sparse, Daemon{DaemonOptions{}}.execute(sparse, {}));
+  expect_same_snmf(got_streams,
+                   Daemon{DaemonOptions{}}.execute(base, streams));
+
+  // The identical request still resumes its own session.
+  ASSERT_TRUE(daemon.execute(base, {}).ok());
+  EXPECT_EQ(daemon.stats().snmf_resumes, 1u);
+}
+
+TEST_F(SvcWarmState, LepSessionKeyKeepsEveryToleranceDigit) {
+  make_lep_corpus();
+  core::AttackRequest near = lep_request();
+  // Equal to the default 1e-9 in the first six significant digits.
+  std::get<core::LepRequest>(near.request).options.independence_tol =
+      1.0000001e-9;
+
+  Daemon daemon{DaemonOptions{}};
+  ASSERT_TRUE(daemon.execute(lep_request(), {}).ok());
+  const core::AttackResponse got = daemon.execute(near, {});
+  EXPECT_EQ(daemon.stats().lep_session_hits, 0u);
+  expect_same_answer(got, Daemon{DaemonOptions{}}.execute(near, {}));
+  ASSERT_TRUE(daemon.execute(near, {}).ok());
+  EXPECT_EQ(daemon.stats().lep_session_hits, 1u);
+}
+
+TEST_F(SvcWarmState, SoakStaysWithinBudgetAcrossKindsAtEightWorkers) {
+  make_snmf_corpus();
+  make_lep_corpus();
+  make_mip_corpus();
+  constexpr int kCopies = 4;
+  std::vector<core::AttackRequest> requests;
+  for (int c = 0; c < kCopies; ++c) {
+    core::AttackRequest snmf = snmf_request();
+    auto& s = std::get<core::SnmfRequest>(snmf.request);
+    s.db = copy_of("db.txt", c);
+    s.trapdoors = copy_of("td.txt", c);
+    core::AttackRequest lep = lep_request();
+    auto& l = std::get<core::LepRequest>(lep.request);
+    l.known_plain = copy_of("leak.txt", c);
+    l.db = copy_of("rdb.txt", c);
+    l.trapdoors = copy_of("rtd.txt", c);
+    core::AttackRequest mip = mip_request();
+    auto& m = std::get<core::MipRequest>(mip.request);
+    m.known_plain = copy_of("mrecords.txt", c);
+    m.db = copy_of("mdb.txt", c);
+    m.trapdoors = copy_of("mtd.txt", c);
+    requests.insert(requests.end(), {snmf, lep, mip});
+  }
+
+  // References from an unbudgeted daemon, which ends holding every copy's
+  // warm state; the budget fits about one copy's.
+  Daemon roomy{DaemonOptions{}};
+  std::vector<core::AttackResponse> refs;
+  for (const auto& req : requests) refs.push_back(roomy.execute(req, {}));
+  const std::size_t budget = roomy.stats().cache_bytes / kCopies;
+  ASSERT_GT(budget, 0u);
+
+  DaemonOptions dopt;
+  dopt.workers = 8;
+  dopt.memory_budget_bytes = budget;
+  Daemon daemon(dopt);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<std::uint64_t, core::AttackResponse> got;
+  std::map<std::uint64_t, std::size_t> request_of;
+  // Submit `wave` jobs, wait until all are delivered — no job is running
+  // then, so nothing pins warm state — and check the budget holds.
+  std::size_t next = 0;
+  const auto run_wave = [&](std::size_t wave) {
+    for (std::size_t k = 0; k < wave; ++k, ++next) {
+      const std::size_t r = next % requests.size();
+      const std::uint64_t id = daemon.submit(
+          requests[r], {}, [&](std::uint64_t job, core::AttackResponse&& resp) {
+            std::lock_guard<std::mutex> lk(mu);
+            got.emplace(job, std::move(resp));
+            cv.notify_all();
+          });
+      std::lock_guard<std::mutex> lk(mu);
+      request_of[id] = r;
+    }
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, 300s, [&] { return got.size() == next; }));
+    EXPECT_LE(daemon.stats().cache_bytes, budget) << "after job " << next;
+  };
+  // One job at a time through every request, then two passes in waves of
+  // eight concurrent jobs.
+  for (std::size_t i = 0; i < requests.size(); ++i) run_wave(1);
+  for (std::size_t i = 0; i < 2 * requests.size(); i += 8) run_wave(8);
+
+  ASSERT_EQ(got.size(), next);
+  for (const auto& [id, resp] : got) {
+    expect_same_answer(resp, refs[request_of[id]]);
+  }
+}
+
 TEST_F(SvcServerTest, SubmitBatchAndStatsPongOverSocket) {
   make_snmf_corpus();
   start_server(2);
@@ -1091,6 +1122,7 @@ TEST_F(SvcServerTest, SubmitBatchAndStatsPongOverSocket) {
   EXPECT_EQ(stats->submitted, 3u);
   EXPECT_EQ(stats->completed, 3u);
   EXPECT_EQ(stats->queue_depth, 0u);
+  EXPECT_GT(stats->cache_bytes, 0u);
   EXPECT_TRUE(client.ping());  // plain ping still round-trips
 }
 

@@ -56,12 +56,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "MipBudget|Mip\.|Presolve"
 
-# Seventh pre-pass over the svc daemon: framed protocol decoding walks
-# attacker-controlled length prefixes, connection handlers hand shared_ptr
-# connections to worker-thread delivery lambdas, and the server teardown
-# shuts sockets down before joining — the newest lifetime-sensitive code
-# (PR 9). The suites include deliberately malformed frames.
+# Seventh pre-pass over the warm-state store and the svc daemon: the store
+# hands type-erased shared_ptrs out and frees evicted values while jobs
+# may still hold others, framed protocol decoding walks attacker-controlled
+# length prefixes, connection handlers hand shared_ptr connections to
+# worker-thread delivery lambdas, and the server teardown shuts sockets
+# down before joining. The suites include deliberately malformed frames.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "Svc"
+  -R "WarmStore|Svc"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

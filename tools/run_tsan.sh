@@ -51,13 +51,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "MipBudget"
 
-# Seventh pre-pass: the batching scheduler — fused SNMF sweeps demuxed to
-# concurrent waiters, the refcounted score-matrix cache with its building
-# markers, and the warm MIP basis state mutated across jobs. The scheduler
-# suites assert bitwise solo/batched equality at 1 and 8 workers, which a
-# racing restart slot or cache entry would break under TSan first.
+# Seventh pre-pass: the warm-state store — building markers that park
+# concurrent misses, refcount pins checked by eviction, per-kind byte
+# accounting — and the daemon suites that share it across workers: CoA
+# sessions and MIP bases mutated under per-entry locks, and the 8-worker
+# budget soak whose outputs must match an unbudgeted daemon's bit for bit.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "SvcScheduler|ScoreCache"
+  -R "WarmStore|SvcWarmState|SvcScheduler"
 
 # Eighth pre-pass: the rest of the svc daemon — worker threads against the
 # bounded queue, per-connection handler threads delivering results under

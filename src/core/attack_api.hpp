@@ -151,11 +151,12 @@ struct SnmfRequest {
   CorpusRef db;         // cipher corpus (indexes)
   CorpusRef trapdoors;  // cipher corpus
   SnmfAttackOptions options;
-  /// Daemon-only hint: when true, a daemon that still holds a warm
-  /// CoaSession for the identical corpus may resume its factorization
-  /// instead of running the cold restart sweep. The resumed result
-  /// converges to the same fixed point but is *not* bitwise identical to
-  /// the cold path; leave false (the default) for reproducible output.
+  /// Warm-store hint: when true, a dispatch with a store that still holds
+  /// a CoaSession for the identical corpus and options resumes its
+  /// factorization instead of running the cold restart sweep. The resumed
+  /// result converges to the same fixed point but is *not* bitwise
+  /// identical to the cold path; leave false (the default) for
+  /// reproducible output. Ignored without a store.
   bool reuse_session = false;
 };
 
@@ -215,29 +216,7 @@ struct AttackResponse {
   }
 };
 
-// ------------------------------------------------------------------- hooks
-
-/// Optional warm state a long-lived host (the svc daemon) threads through
-/// dispatch. Everything here is an accelerator, never an input: a dispatch
-/// with hooks returns bit-identical results to one without (the MIP warm
-/// state differs only in skipped simplex pivots, which canonicalization
-/// makes invisible — see core::MipWarmState).
-struct DispatchHooks {
-  /// Shared warm-state store for SNMF: the score matrix (WarmKind::Score,
-  /// under `score_key`) and, when options.rank == 0, the rank estimate
-  /// (WarmKind::Rank, under `score_key` plus seed and rank_tol). Only
-  /// consulted when `score_key` is non-empty; the key must identify the
-  /// (db, trapdoors) corpus pair *content* — the daemon keys on stat
-  /// fingerprints.
-  WarmStore* store = nullptr;
-  std::string score_key;
-
-  /// Persistent MIP root-basis state, keyed by the caller (the daemon
-  /// keys on corpus fingerprints + attack parameters). Dispatch hands it to
-  /// the 7-arg run_mip_attack, which self-invalidates on model-digest
-  /// mismatch. The caller owns lifetime and cross-job locking.
-  MipWarmState* mip_warm = nullptr;
-};
+// ---------------------------------------------------------------- dispatch
 
 /// The single entry point the CLI, the daemon and the bench harnesses route
 /// through: resolve corpora, assemble the adversary view, validate the
@@ -248,13 +227,21 @@ struct DispatchHooks {
 /// resolution and, for SNMF with rank == 0, the same rank estimation the
 /// CLI used to perform — at options.rank_tol, over a score matrix built
 /// once and shared with the factorization).
+///
+/// `store` (optional) is the warm state a long-lived host (the svc daemon)
+/// keeps between jobs. Path-backed corpora then load through
+/// WarmKind::Corpus, keyed on a stat fingerprint (path, size, mtime), and,
+/// when every corpus of the request has one, dispatch reads and fills the
+/// attack's warm state: the LEP session, the MIP root basis, or the SNMF
+/// score matrix and rank estimate (the CoA session instead when
+/// SnmfRequest::reuse_session). Each key covers the corpus fingerprints and
+/// every option its state depends on. Inline corpora (and paths that cannot
+/// be stat'ed) have no stable identity, so their jobs run cold and leave no
+/// warm entry. The store is an accelerator, never an input: results are
+/// bit-identical with and without it (except resumed CoA sessions, which
+/// the reuse_session opt-in documents).
 [[nodiscard]] AttackResponse dispatch_attack(const AttackRequest& request,
-                                             const ExecContext& ctx = {});
-
-/// Hook-carrying overload for warm hosts (see DispatchHooks). Passing a
-/// default-constructed hooks object is exactly the 2-arg form.
-[[nodiscard]] AttackResponse dispatch_attack(const AttackRequest& request,
-                                             const ExecContext& ctx,
-                                             const DispatchHooks& hooks);
+                                             const ExecContext& ctx = {},
+                                             WarmStore* store = nullptr);
 
 }  // namespace aspe::core

@@ -2,8 +2,8 @@
 // points (run_lep_attack / run_mip_attack / run_snmf_attack).
 //
 // One struct carries everything that is about *how* an attack runs rather
-// than *what* it computes: the thread budget, the RNG seed, the determinism
-// contract, and the telemetry sink. All attacks guarantee bit-identical
+// than *what* it computes: the thread budget, the RNG seed, the memory
+// budget, and the telemetry sink. All attacks guarantee bit-identical
 // results across thread counts for a fixed seed — and with or without a
 // sink attached (telemetry fields excluded); see README "Parallelism" and
 // "Observability" for how that is achieved.
@@ -27,16 +27,6 @@ struct ExecContext {
 
   /// Root seed for every randomized component of the attack.
   std::uint64_t seed = 2017;
-
-  /// When true (the default), randomized attacks draw their per-restart
-  /// initial states in restart order from the single root stream — exactly
-  /// the RNG-consumption schedule of the legacy serial path — so the result
-  /// is bit-identical both across thread counts and to the pre-ExecContext
-  /// overloads for the same seed. When false, restart l derives its state
-  /// from Rng(seed).split(l) instead: still reproducible and still
-  /// thread-count independent, but a different (order-independent) stream
-  /// than the legacy one.
-  bool deterministic = true;
 
   /// Approximate working-set budget in bytes for shardable stages: the
   /// score-matrix build tiles its output rows and the SNMF driver groups its

@@ -19,6 +19,18 @@ using opt::Model;
 using opt::Sense;
 using scheme::cipher_score;
 
+namespace {
+
+// Bounds making the continuous variables finite for the LP relaxation;
+// rhat = 1/r and that = t/r with r in [0.5, 2], t in [0.1, 1] under the
+// reference trapdoor generator, so these are generous.
+constexpr double kRhatMin = 1e-4;
+constexpr double kRhatMax = 1e4;
+constexpr double kThatMin = 1e-6;
+constexpr double kThatMax = 1e4;
+
+}  // namespace
+
 Model build_mip_attack_model(
     const std::vector<sse::KnownBinaryPair>& known_pairs,
     const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,
@@ -28,11 +40,9 @@ Model build_mip_attack_model(
   const std::size_t d = known_pairs[0].record.size();
 
   Model model;
-  const std::size_t rhat = model.add_variable(options.rhat_min,
-                                              options.rhat_max,
+  const std::size_t rhat = model.add_variable(kRhatMin, kRhatMax,
                                               opt::VarType::Continuous, "rhat");
-  const std::size_t that = model.add_variable(options.that_min,
-                                              options.that_max,
+  const std::size_t that = model.add_variable(kThatMin, kThatMax,
                                               opt::VarType::Continuous, "that");
   std::vector<std::size_t> q(d);
   for (std::size_t k = 0; k < d; ++k) q[k] = model.add_binary();
@@ -118,11 +128,10 @@ struct RtFit {
 /// [rhat*c_i - a_i - (mu + l sigma), rhat*c_i - a_i - (mu - l sigma)].
 /// g(rhat) = min_i hi_i - max_i lo_i (clipped by the that bounds) is concave
 /// piecewise-linear in rhat; maximize it by ternary search.
-RtFit fit_rt(const Vec& c, const Vec& a, double mu, double lsigma,
-             const MipAttackOptions& options) {
+RtFit fit_rt(const Vec& c, const Vec& a, double mu, double lsigma) {
   const auto gap = [&](double rhat, double* mid) {
-    double hi = options.that_max;
-    double lo = options.that_min;
+    double hi = kThatMax;
+    double lo = kThatMin;
     for (std::size_t i = 0; i < c.size(); ++i) {
       const double center = rhat * c[i] - a[i] - mu;
       hi = std::min(hi, center + lsigma);
@@ -131,8 +140,8 @@ RtFit fit_rt(const Vec& c, const Vec& a, double mu, double lsigma,
     if (mid != nullptr) *mid = 0.5 * (lo + hi);
     return hi - lo;
   };
-  double lo = options.rhat_min;
-  double hi = options.rhat_max;
+  double lo = kRhatMin;
+  double hi = kRhatMax;
   for (int it = 0; it < 200; ++it) {
     const double m1 = lo + (hi - lo) / 3.0;
     const double m2 = hi - (hi - lo) / 3.0;
@@ -147,7 +156,7 @@ RtFit fit_rt(const Vec& c, const Vec& a, double mu, double lsigma,
   double mid = 0.0;
   const double g = gap(rhat, &mid);
   fit.rhat = rhat;
-  fit.that = std::clamp(mid, options.that_min, options.that_max);
+  fit.that = std::clamp(mid, kThatMin, kThatMax);
   fit.feasible = g >= 0.0 && fit.that > 0.0;
   fit.violation = std::max(0.0, -g);
   return fit;
@@ -277,7 +286,7 @@ std::optional<MipAttackResult> primal_heuristic(
             }
             Vec a2 = a;
             add_column(a2, k, 1.0);
-            fits[k] = fit_rt(c, a2, mu, lsigma, options);
+            fits[k] = fit_rt(c, a2, mu, lsigma);
           },
           threads);
       // ...then select in ascending keyword order, exactly like the serial
@@ -324,10 +333,9 @@ std::optional<MipAttackResult> primal_heuristic(
       sxx += (c[i] - cbar) * (c[i] - cbar);
     }
     const double rhat =
-        std::clamp(sxx > 0.0 ? sxy / sxx : options.rhat_min, options.rhat_min,
-                   options.rhat_max);
+        std::clamp(sxx > 0.0 ? sxy / sxx : kRhatMin, kRhatMin, kRhatMax);
     const double that =
-        std::clamp(rhat * cbar - bbar, options.that_min, options.that_max);
+        std::clamp(rhat * cbar - bbar, kThatMin, kThatMax);
     double sse = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double e = rhat * c[i] - that - (a[i] + mu);
@@ -387,8 +395,8 @@ std::optional<MipAttackResult> primal_heuristic(
     return res;
   };
 
-  const std::size_t max_flips =
-      options.max_repair_flips > 0 ? options.max_repair_flips : 3 * d;
+  // Cap on greedy repair flips.
+  const std::size_t max_flips = 3 * d;
 
   // Prefix scan: order coordinates by LP value and test every prefix
   // {top-1, top-2, ..., top-d} as a rounding candidate. This subsumes any
@@ -416,7 +424,7 @@ std::optional<MipAttackResult> primal_heuristic(
           for (std::size_t s = 0; s < lo; ++s) add_column(a, order[s], 1.0);
           for (std::size_t s = lo; s < hi; ++s) {
             add_column(a, order[s], 1.0);
-            prefix_fits[s] = fit_rt(c, a, mu, lsigma, options);
+            prefix_fits[s] = fit_rt(c, a, mu, lsigma);
           }
         },
         threads);
@@ -464,7 +472,7 @@ std::optional<MipAttackResult> primal_heuristic(
     }
     if (!best_ml.empty()) {
       fit_probes += 1;
-      const RtFit fit = fit_rt(c, inner_products(best_ml), mu, lsigma, options);
+      const RtFit fit = fit_rt(c, inner_products(best_ml), mu, lsigma);
       if (fit.feasible) return package(std::move(best_ml), fit);
     }
   }
@@ -496,7 +504,7 @@ std::optional<MipAttackResult> primal_heuristic(
           }
           Vec a2 = a;
           add_column(a2, k, q[k] != 0 ? -1.0 : 1.0);
-          flip_fits[k] = fit_rt(c, a2, mu, lsigma, options);
+          flip_fits[k] = fit_rt(c, a2, mu, lsigma);
         },
         threads);
     double cur = best_violation;

@@ -42,20 +42,11 @@ enum class RootOrdering {
 struct MipAttackOptions {
   double l = 3.0;  // noise interval half width, in sigmas
   RootOrdering root_ordering = RootOrdering::Auto;
-  /// Bounds making the continuous variables finite for the LP relaxation;
-  /// rhat = 1/r and that = t/r with r in [0.5, 2], t in [0.1, 1] under the
-  /// reference trapdoor generator, so these are generous.
-  double rhat_min = 1e-4;
-  double rhat_max = 1e4;
-  double that_min = 1e-6;
-  double that_max = 1e4;
   /// Try the primal heuristic (LP rounding + exact 2-variable refit + greedy
   /// bit-flip repair) before branch and bound. This mirrors the rounding/
   /// diving heuristics a commercial solver such as Gurobi runs at the root
   /// node, and is what makes paper-scale instances tractable.
   bool use_heuristic = true;
-  /// Cap on greedy repair flips (0 selects 3d automatically).
-  std::size_t max_repair_flips = 0;
   opt::MipOptions solver = default_solver();
 
   [[nodiscard]] static opt::MipOptions default_solver() {

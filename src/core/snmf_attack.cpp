@@ -389,23 +389,12 @@ std::vector<nmf::NmfInit> draw_snmf_inits(const Matrix& scores,
   rng::Rng root_rng(ctx.seed);
   std::vector<nmf::NmfInit> inits;
   inits.reserve(options.restarts);
-  if (ctx.deterministic) {
-    // Restart order from one sequential stream: the NMF iterations consume
-    // no randomness, so parallel restarts stay bit-identical to the serial
-    // loop.
-    for (std::size_t l = 0; l < options.restarts; ++l) {
-      inits.push_back(
-          nmf::nmf_initialize(scores, options.rank, options.nmf, root_rng));
-    }
-  } else {
-    // Order-independent split streams: restart l is seeded by (seed, l)
-    // alone. Still reproducible across thread counts, but a different
-    // stream than the sequential draw.
-    for (std::size_t l = 0; l < options.restarts; ++l) {
-      rng::Rng stream = root_rng.split(l);
-      inits.push_back(
-          nmf::nmf_initialize(scores, options.rank, options.nmf, stream));
-    }
+  // Restart order from one sequential stream: the NMF iterations consume
+  // no randomness, so parallel restarts stay bit-identical to the serial
+  // loop.
+  for (std::size_t l = 0; l < options.restarts; ++l) {
+    inits.push_back(
+        nmf::nmf_initialize(scores, options.rank, options.nmf, root_rng));
   }
   return inits;
 }

@@ -9,7 +9,7 @@
 // trapdoors T*_j.
 //
 // Signature convention (docs/api.md): inputs first, options next, the
-// ExecContext (threads / seed / determinism / telemetry sink) last, both
+// ExecContext (threads / seed / memory budget / telemetry sink) last, both
 // defaulted.
 #pragma once
 
@@ -159,8 +159,7 @@ struct SnmfSelection {
 };
 
 /// Draw the L restart initializations exactly as run_snmf_attack(scores,
-/// options, ctx) does: sequentially from rng::Rng(ctx.seed) when
-/// ctx.deterministic, from per-restart split streams otherwise.
+/// options, ctx) does: in restart order from one rng::Rng(ctx.seed) stream.
 [[nodiscard]] std::vector<nmf::NmfInit> draw_snmf_inits(
     const linalg::Matrix& scores, const SnmfAttackOptions& options,
     const ExecContext& ctx = {});

@@ -11,8 +11,8 @@ const char* kind_name(WarmKind kind) {
     case WarmKind::Corpus: return "corpus";
     case WarmKind::Score: return "score";
     case WarmKind::Rank: return "rank";
-    case WarmKind::LepSession: return "lep_session";
-    case WarmKind::CoaSession: return "coa_session";
+    case WarmKind::Lep: return "lep_session";
+    case WarmKind::Coa: return "coa_session";
     case WarmKind::MipBasis: return "mip_basis";
   }
   return "unknown";

@@ -4,10 +4,10 @@
 // sessions, and MIP root-basis states.
 //
 // Contract (docs/api.md, "Warm-state store"):
-//   * Keys are caller-chosen strings per WarmKind; the daemon keys on corpus
-//     *fingerprints* (path + size + mtime) plus every option the state
-//     depends on (see warm_key), so an edited corpus or a changed option
-//     never resurfaces stale state.
+//   * Keys are caller-chosen strings per WarmKind; core::dispatch_attack
+//     keys on corpus *fingerprints* (path + size + mtime) plus every option
+//     the state depends on (see warm_key), so an edited corpus or a changed
+//     option never resurfaces stale state.
 //   * get_or_build returns a shared_ptr that stays valid for as long as the
 //     caller holds it, eviction or not.
 //   * Concurrent callers of one key block until its single builder finishes
@@ -41,8 +41,8 @@ enum class WarmKind : std::uint8_t {
   Corpus,      // a parsed corpus file (cipher database or vector list)
   Score,       // the score matrix of a (db, trapdoors) corpus pair
   Rank,        // an SNMF latent-dimension estimate
-  LepSession,  // a built core::LepSession
-  CoaSession,  // a core::CoaSession kept for warm SNMF resumes
+  Lep,         // a built core::LepSession
+  Coa,         // a core::CoaSession kept for warm SNMF resumes
   MipBasis,    // a MIP root-LP basis (core::MipWarmState)
 };
 inline constexpr std::size_t kWarmKinds = 6;

@@ -262,10 +262,12 @@ void nndsvd_from_triplets(const Matrix& left, const Matrix& right,
 /// the "NNDSVDa"-style epsilon fill so multiplicative updates can escape
 /// exact zeros). W is d x m, H is d x n with R ~= W^T H. Only the leading
 /// `rank` triplets are ever read, so on large inputs the randomized
-/// truncated SVD computes exactly what is needed instead of the full
-/// spectrum.
+/// truncated SVD (rank + oversample triplets, fixed internal seed) computes
+/// exactly what is needed instead of the full spectrum — a numerically
+/// different, equally valid initialization. Small inputs, and a projected
+/// Jacobi that fails to converge, use the full SVD.
 void nndsvd_init(const Matrix& r, std::size_t rank, Matrix& w, Matrix& h,
-                 double fill, bool truncated) {
+                 double fill) {
   const std::size_t m = r.rows();
   const std::size_t n = r.cols();
   // Svd needs rows >= cols; factor R or R^T accordingly and swap roles. The
@@ -274,7 +276,7 @@ void nndsvd_init(const Matrix& r, std::size_t rank, Matrix& w, Matrix& h,
   const bool transposed = m < n;
   const Op op = transposed ? Op::Transpose : Op::None;
 
-  if (truncated && std::min(m, n) >= kTruncatedInitMinDim &&
+  if (std::min(m, n) >= kTruncatedInitMinDim &&
       rank + 8 < std::min(m, n)) {
     obs::Span span("svd/truncated");
     linalg::TruncatedSvdOptions o;
@@ -322,8 +324,7 @@ NmfInit nmf_initialize(const Matrix& r, std::size_t rank,
   if (options.init == Initialization::Nndsvd) {
     // Deterministic SVD-based seed; the epsilon fill keeps multiplicative
     // updates from locking onto exact zeros.
-    nndsvd_init(r, rank, init.w, init.h, 0.01 * init_scale,
-                options.truncated_init);
+    nndsvd_init(r, rank, init.w, init.h, 0.01 * init_scale);
   } else {
     // Random non-negative init scaled so W^T H matches R's mean magnitude.
     for (auto& x : init.w.data()) x = rng.uniform(0.0, 1.0) * init_scale;
@@ -332,9 +333,16 @@ NmfInit nmf_initialize(const Matrix& r, std::size_t rank,
   return init;
 }
 
-NmfResult sparse_nmf_from_init(const Matrix& r, std::size_t rank,
-                               const SparseNmfOptions& options, NmfInit init,
-                               std::size_t threads) {
+namespace {
+
+/// sparse_nmf_from_init, plus `resume` (sparse_nmf_resume): on the ANLS +
+/// warm_start path, treat the init as a near-solution and seed every
+/// column's NNLS passive set from the init's support before the first
+/// half-step, instead of discovering the supports from zero. That changes
+/// nothing but the warm-start state, so the fixed point reached is the same.
+NmfResult run_from_init(const Matrix& r, std::size_t rank,
+                        const SparseNmfOptions& options, NmfInit init,
+                        std::size_t threads, bool resume) {
   require(rank > 0 && init.w.rows() == rank && init.h.rows() == rank,
           "sparse_nmf_from_init: init rank mismatch");
   require(init.w.cols() == r.rows() && init.h.cols() == r.cols(),
@@ -356,7 +364,7 @@ NmfResult sparse_nmf_from_init(const Matrix& r, std::size_t rank,
   std::vector<NnlsWorkspace> ws_h(anls ? r.cols() : 0);
   std::vector<NnlsWorkspace> ws_w(anls ? r.rows() : 0);
   NnlsBatchStats stats;
-  if (warm && options.resume_from_init) {
+  if (warm && resume) {
     // The init is a near-solution (sparse_nmf_resume): arm every column's
     // warm start with its support, so even the first half-steps refactor an
     // inherited passive set instead of rebuilding it from zero.
@@ -410,6 +418,14 @@ NmfResult sparse_nmf_from_init(const Matrix& r, std::size_t rank,
     obs::gauge_set("nmf.passive_reuse_rate", stats.warm_hits / stats.solves);
   }
   return result;
+}
+
+}  // namespace
+
+NmfResult sparse_nmf_from_init(const Matrix& r, std::size_t rank,
+                               const SparseNmfOptions& options, NmfInit init,
+                               std::size_t threads) {
+  return run_from_init(r, rank, options, std::move(init), threads, false);
 }
 
 NmfResult sparse_nmf(const Matrix& r, std::size_t rank,
@@ -479,9 +495,7 @@ NmfResult sparse_nmf_resume(const Matrix& r, std::size_t rank,
                    });
   }
 
-  SparseNmfOptions resumed = options;
-  resumed.resume_from_init = true;
-  return sparse_nmf_from_init(r, rank, resumed, std::move(init), threads);
+  return run_from_init(r, rank, options, std::move(init), threads, true);
 }
 
 void balance_rows(Matrix& w, Matrix& h) {

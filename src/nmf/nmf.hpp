@@ -46,19 +46,6 @@ struct SparseNmfOptions {
   /// warm_start = false — just cheaper. Disable to benchmark the cold path
   /// or to sidestep a (measure-zero) dual tie at the tolerance boundary.
   bool warm_start = true;
-  /// Nndsvd only: seed from the randomized truncated SVD
-  /// (linalg::TruncatedSvd, rank + oversample triplets) instead of the
-  /// full Jacobi SVD when the input is large enough to profit. Falls back
-  /// to the full SVD for small inputs or when the projected Jacobi fails
-  /// to converge. Deterministic (fixed internal seed) like the full-SVD
-  /// path, but a numerically different — equally valid — initialization.
-  bool truncated_init = true;
-  /// ANLS + warm_start only: treat the caller's init as a near-solution
-  /// and seed every column's NNLS passive set from the init's support
-  /// before the first half-step, instead of discovering the supports from
-  /// zero. This is what sparse_nmf_resume sets; it changes nothing but the
-  /// warm-start state, so the fixed point reached is the same.
-  bool resume_from_init = false;
 };
 
 struct NmfResult {
@@ -105,7 +92,7 @@ struct NmfInit {
 /// columns — one per appended row / column of R — are initialized by a
 /// single NNLS projection against the carried opposite factor, then the
 /// ANLS loop runs from the extended pair with every column's passive set
-/// seeded from its support (resume_from_init). On an unchanged R this
+/// seeded from its support. On an unchanged R this
 /// terminates in one or two cheap verification iterations; after a small
 /// append it converges in a handful, against max_iterations from scratch.
 [[nodiscard]] NmfResult sparse_nmf_resume(const linalg::Matrix& r,

@@ -84,15 +84,12 @@ void NnlsWorkspace::solve_passive(ConstVecView f) {
   }
 }
 
-void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws,
-               const NnlsOptions& options) {
+void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws) {
   require(g.rows() == g.cols(), "nnls_gram: Gram matrix must be square");
   require(f.size() == g.rows() && x.size() == g.rows(),
           "nnls_gram: dimension mismatch");
   const std::size_t n = g.rows();
-  const std::size_t max_outer = options.max_outer_iterations > 0
-                                    ? options.max_outer_iterations
-                                    : 3 * n + 30;
+  const std::size_t max_outer = 3 * n + 30;
   ws.outer_iterations_ = 0;
   ws.factor_rows_ = 0;
   ws.set_reused_ = false;
@@ -104,10 +101,10 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws,
   }
   if (ws.in_passive_.size() != n) ws.in_passive_.assign(n, false);
 
-  // Scale-aware dual tolerance.
+  // Scale-aware dual feasibility tolerance.
   double scale = 1.0;
   for (std::size_t i = 0; i < n; ++i) scale = std::max(scale, std::abs(f[i]));
-  const double tol = options.tol * scale;
+  const double tol = 1e-10 * scale;
 
   bool warm = !ws.passive_.empty();
   bool have_z = false;
@@ -243,19 +240,18 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws,
   ws.set_reused_ = warm && ws.passive_ == inherited;
 }
 
-void nnls_gram(const Matrix& g, ConstVecView f, VecView x,
-               const NnlsOptions& options) {
+void nnls_gram(const Matrix& g, ConstVecView f, VecView x) {
   NnlsWorkspace ws;
-  nnls_gram(g, f, x, ws, options);
+  nnls_gram(g, f, x, ws);
 }
 
-Vec nnls_gram(const Matrix& g, const Vec& f, const NnlsOptions& options) {
+Vec nnls_gram(const Matrix& g, const Vec& f) {
   Vec x(g.rows(), 0.0);
-  nnls_gram(g, ConstVecView(f), VecView(x), options);
+  nnls_gram(g, ConstVecView(f), VecView(x));
   return x;
 }
 
-Vec nnls(const Matrix& a, const Vec& b, const NnlsOptions& options) {
+Vec nnls(const Matrix& a, const Vec& b) {
   require(a.rows() == b.size(), "nnls: dimension mismatch");
   const std::size_t n = a.cols();
   Matrix g(n, n, 0.0);
@@ -263,7 +259,7 @@ Vec nnls(const Matrix& a, const Vec& b, const NnlsOptions& options) {
                linalg::Op::None, 0.0, g.view());
   const Vec f = a.apply_transposed(b);
   Vec x(n, 0.0);
-  nnls_gram(g, ConstVecView(f), VecView(x), options);
+  nnls_gram(g, ConstVecView(f), VecView(x));
   return x;
 }
 

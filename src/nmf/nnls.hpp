@@ -18,11 +18,6 @@
 
 namespace aspe::nmf {
 
-struct NnlsOptions {
-  std::size_t max_outer_iterations = 0;  // 0 => 3 * num_vars + 30
-  double tol = 1e-10;                    // dual feasibility tolerance
-};
-
 /// Per-column state carried across nnls_gram calls.
 ///
 /// What persists is the passive SET only — the Gram matrix is different on
@@ -72,8 +67,7 @@ class NnlsWorkspace {
 
  private:
   friend void nnls_gram(const linalg::Matrix& g, linalg::ConstVecView f,
-                        linalg::VecView x, NnlsWorkspace& workspace,
-                        const NnlsOptions& options);
+                        linalg::VecView x, NnlsWorkspace& workspace);
 
   void ensure_capacity(std::size_t k, std::size_t n);
   /// Recompute factor rows [from, passive_.size()) against g. Rows < from
@@ -106,7 +100,7 @@ class NnlsWorkspace {
 /// x must not alias. This is the batch entry point the ANLS solver uses —
 /// one Gram matrix, one NNLS call per column, zero per-column copies.
 void nnls_gram(const linalg::Matrix& g, linalg::ConstVecView f,
-               linalg::VecView x, const NnlsOptions& options = {});
+               linalg::VecView x);
 
 /// Warm-startable form. When `workspace` carries a passive set from a
 /// previous call, x must hold the previous solution (its support is the
@@ -114,15 +108,12 @@ void nnls_gram(const linalg::Matrix& g, linalg::ConstVecView f,
 /// ANLS column view contains between outer iterations. With an empty
 /// workspace this is the cold solve above, sharing every code path.
 void nnls_gram(const linalg::Matrix& g, linalg::ConstVecView f,
-               linalg::VecView x, NnlsWorkspace& workspace,
-               const NnlsOptions& options = {});
+               linalg::VecView x, NnlsWorkspace& workspace);
 
 /// Owning convenience wrapper around the view form.
-[[nodiscard]] Vec nnls_gram(const linalg::Matrix& g, const Vec& f,
-                            const NnlsOptions& options = {});
+[[nodiscard]] Vec nnls_gram(const linalg::Matrix& g, const Vec& f);
 
 /// Convenience wrapper forming G and f from A and b.
-[[nodiscard]] Vec nnls(const linalg::Matrix& a, const Vec& b,
-                       const NnlsOptions& options = {});
+[[nodiscard]] Vec nnls(const linalg::Matrix& a, const Vec& b);
 
 }  // namespace aspe::nmf

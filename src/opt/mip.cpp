@@ -16,9 +16,9 @@ namespace {
 
 /// Index of the integer variable whose LP value is most fractional;
 /// model.num_variables() when the point is integral.
-std::size_t most_fractional(const Model& model, const Vec& x, double tol) {
+std::size_t most_fractional(const Model& model, const Vec& x) {
   std::size_t best = model.num_variables();
-  double best_frac = tol;
+  double best_frac = kIntTol;
   for (std::size_t j = 0; j < model.num_variables(); ++j) {
     if (model.variable(j).type == VarType::Continuous) continue;
     const double f = x[j] - std::floor(x[j]);
@@ -193,7 +193,7 @@ MipResult solve_mip(Model& model, SimplexSolver& solver,
       continue;
     }
 
-    const std::size_t frac = most_fractional(model, lp.x, options.int_tol);
+    const std::size_t frac = most_fractional(model, lp.x);
     if (frac == n) {
       // Integer feasible.
       if (!have_incumbent || lp.objective < incumbent_obj) {

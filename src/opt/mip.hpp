@@ -57,9 +57,11 @@ struct MipOptions {
   bool warm_start = true;
   std::size_t max_nodes = 200000;
   double time_limit_seconds = 60.0;
-  double int_tol = 1e-6;
   SimplexOptions lp;
 };
+
+/// An LP value within this distance of an integer counts as integral.
+inline constexpr double kIntTol = 1e-6;
 
 /// Solve a mixed-integer linear program by LP-based branch and bound.
 [[nodiscard]] MipResult solve_mip(Model model, const MipOptions& options = {});

@@ -319,18 +319,18 @@ void SimplexSolver::pivot_update(std::size_t r, const Vec& d) {
 void SimplexSolver::clamp_basic_drift() {
   for (std::size_t i = 0; i < m_; ++i) {
     const std::size_t bj = basis_[i];
-    if (xb_[i] < lb_[bj] && xb_[i] > lb_[bj] - opt_.feas_tol) {
+    if (xb_[i] < lb_[bj] && xb_[i] > lb_[bj] - kFeasTol) {
       xb_[i] = lb_[bj];
     }
     if (ub_[bj] != kInfinity && xb_[i] > ub_[bj] &&
-        xb_[i] < ub_[bj] + opt_.feas_tol) {
+        xb_[i] < ub_[bj] + kFeasTol) {
       xb_[i] = ub_[bj];
     }
   }
 }
 
 void SimplexSolver::maybe_refactorize() {
-  if (++pivots_since_refactor_ < opt_.refactor_interval) return;
+  if (++pivots_since_refactor_ < kRefactorInterval) return;
   if (refactorize()) recompute_xb();
 }
 
@@ -338,9 +338,7 @@ LpStatus SimplexSolver::optimize(const Vec& cost,
                                  std::size_t& iteration_counter) {
   StatDeltaCounter pivots("simplex.primal_iterations",
                           stats_.primal_iterations);
-  const std::size_t max_iters = opt_.max_iterations > 0
-                                    ? opt_.max_iterations
-                                    : 200 * (m_ + total_) + 2000;
+  const std::size_t max_iters = 200 * (m_ + total_) + 2000;
   const std::size_t bland_after = opt_.bland_threshold > 0
                                       ? opt_.bland_threshold
                                       : 20 * (m_ + total_) + 500;
@@ -372,10 +370,10 @@ LpStatus SimplexSolver::optimize(const Vec& cost,
       const double rc = cost[j] - col_dot(y, j);
       double viol = 0.0;
       int dir = 0;
-      if (st == VarStatus::AtLower && rc < -opt_.opt_tol) {
+      if (st == VarStatus::AtLower && rc < -kOptTol) {
         viol = -rc;
         dir = +1;
-      } else if (st == VarStatus::AtUpper && rc > opt_.opt_tol) {
+      } else if (st == VarStatus::AtUpper && rc > kOptTol) {
         viol = rc;
         dir = -1;
       } else {
@@ -411,9 +409,9 @@ LpStatus SimplexSolver::optimize(const Vec& cost,
       const std::size_t bj = basis_[i];
       double t = kInfinity;
       bool to_upper = false;
-      if (g > opt_.opt_tol) {  // basic variable decreases toward its lb
+      if (g > kOptTol) {  // basic variable decreases toward its lb
         t = (xb_[i] - lb_[bj]) / g;
-      } else if (g < -opt_.opt_tol) {  // increases toward its ub
+      } else if (g < -kOptTol) {  // increases toward its ub
         if (ub_[bj] == kInfinity) continue;
         t = (ub_[bj] - xb_[i]) / (-g);
         to_upper = true;
@@ -492,12 +490,10 @@ LpStatus SimplexSolver::optimize(const Vec& cost,
 
 LpStatus SimplexSolver::dual_optimize(std::size_t& iteration_counter) {
   StatDeltaCounter pivots("simplex.dual_iterations", stats_.dual_iterations);
-  const std::size_t max_iters = opt_.dual_iteration_limit > 0
-                                    ? opt_.dual_iteration_limit
-                                    : 40 * m_ + 400;
+  const std::size_t max_iters = 40 * m_ + 400;
   const std::size_t bland_after =
       opt_.bland_threshold > 0 ? opt_.bland_threshold : 10 * m_ + 100;
-  const double feas = opt_.feas_tol * std::max(1.0, rhs_scale_);
+  const double feas = kFeasTol * std::max(1.0, rhs_scale_);
   std::size_t local_iters = 0;
   Vec y(m_), rho(m_);
 
@@ -634,7 +630,7 @@ LpResult SimplexSolver::solve() {
   }
   double art_sum = 0.0;
   for (std::size_t a = 0; a < m_; ++a) art_sum += value(art_begin_ + a);
-  if (art_sum > opt_.feas_tol * std::max(1.0, rhs_scale_)) {
+  if (art_sum > kFeasTol * std::max(1.0, rhs_scale_)) {
     return extract_result(LpStatus::Infeasible, iterations);
   }
 

@@ -45,22 +45,18 @@ struct LpResult {
 };
 
 struct SimplexOptions {
-  /// Hard iteration cap; 0 selects an automatic cap based on problem size.
-  std::size_t max_iterations = 0;
-  /// Feasibility tolerance on basic-variable bounds and phase-1 residual.
-  double feas_tol = 1e-7;
-  /// Reduced-cost optimality tolerance.
-  double opt_tol = 1e-9;
-  /// Dual-simplex pivot cap per warm re-solve; 0 selects an automatic cap.
-  /// When it trips, solve_warm falls back to a cold primal solve.
-  std::size_t dual_iteration_limit = 0;
-  /// Pivots between dense refactorizations of B^{-1} from the basis.
-  std::size_t refactor_interval = 64;
   /// Iterations of one optimize pass before switching to the Bland
   /// anti-cycling rule; 0 selects an automatic burn-in based on problem
   /// size. Set to 1 to force Bland pricing from the start (tests).
   std::size_t bland_threshold = 0;
 };
+
+/// Feasibility tolerance on basic-variable bounds and phase-1 residual.
+inline constexpr double kFeasTol = 1e-7;
+/// Reduced-cost optimality tolerance.
+inline constexpr double kOptTol = 1e-9;
+/// Pivots between dense refactorizations of B^{-1} from the basis.
+inline constexpr std::size_t kRefactorInterval = 64;
 
 /// Nonbasic-at-lower / nonbasic-at-upper / basic marker per column.
 enum class VarStatus : std::uint8_t { AtLower, AtUpper, Basic };

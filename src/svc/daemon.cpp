@@ -1,28 +1,19 @@
 #include "svc/daemon.hpp"
 
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
-#include <sstream>
 #include <utility>
-
-#include "core/session.hpp"
-#include "scheme/plain_index.hpp"
-#include "sse/adversary_view.hpp"
 
 namespace aspe::svc {
 
 namespace {
 
 using core::WarmKind;
-template <class T>
-using Built = core::WarmStore::Built<T>;
 
 /// Per-job recording target: the job's own telemetry comes back through
 /// the attack result, so this only forwards to the daemon-wide sink (when
@@ -38,110 +29,6 @@ class ForwardSink final : public obs::Sink {
  private:
   obs::Sink* downstream_;
 };
-
-/// Corpus identity for the warm state: path plus size plus mtime. Nullopt
-/// when the file cannot be stat'ed (the subsequent load reports the real
-/// error with the io layer's message).
-std::optional<std::string> stat_fingerprint(const std::string& path) {
-  struct ::stat st {};
-  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-  std::ostringstream os;
-  os << path << '|' << st.st_size << '|' << st.st_mtim.tv_sec << '.'
-     << st.st_mtim.tv_nsec;
-  return os.str();
-}
-
-core::ExecContext job_context(const JobOptions& opts) {
-  core::ExecContext ctx;
-  ctx.threads = opts.threads;
-  ctx.seed = opts.seed;
-  ctx.deterministic = opts.deterministic;
-  return ctx;
-}
-
-// ---- warm-state keys: each covers every field its state depends on
-// besides the corpora. Thread counts and the memory budget shape how an
-// attack runs, never what it computes, so no key carries them.
-
-/// A LepSession draws no randomness; only its independence tolerance
-/// decides which pairs and trapdoors form the bases.
-std::string lep_session_key(const std::string& corpora,
-                            const core::LepOptions& o) {
-  return core::warm_key(corpora, o.independence_tol);
-}
-
-/// A CoaSession reads every SNMF option (rank estimate, restarts, NMF
-/// solve, binarization, warm resumes) and draws its restarts from the seed
-/// in the context's stream mode.
-std::string coa_session_key(const std::string& corpora,
-                            const core::SnmfAttackOptions& o,
-                            const core::ExecContext& ctx) {
-  const nmf::SparseNmfOptions& n = o.nmf;
-  return core::warm_key(
-      corpora, o.rank, o.theta, o.restarts, o.rank_tol, o.balance,
-      o.resume_iterations, n.eta, n.lambda, n.max_iterations, n.rel_tol,
-      static_cast<int>(n.algorithm), static_cast<int>(n.init), n.warm_start,
-      n.truncated_init, n.resume_from_init, ctx.seed, ctx.deterministic);
-}
-
-/// A MIP root basis comes from the model (trapdoor, noise model, attack
-/// options) and the solver options. run_mip_attack also checks a model
-/// digest before warm-starting, so a key collision costs a cold solve, not
-/// a wrong answer.
-std::string mip_basis_key(const std::string& corpora,
-                          const core::MipRequest& r) {
-  const core::MipAttackOptions& o = r.options;
-  const opt::MipOptions& s = o.solver;
-  return core::warm_key(
-      corpora, r.trapdoor_id, r.mu, r.sigma, o.l,
-      static_cast<int>(o.root_ordering), o.rhat_min, o.rhat_max, o.that_min,
-      o.that_max, o.use_heuristic, o.max_repair_flips, s.first_feasible,
-      s.use_presolve, s.warm_start, s.max_nodes, s.time_limit_seconds,
-      s.int_tol, s.lp.max_iterations, s.lp.feas_tol, s.lp.opt_tol,
-      s.lp.dual_iteration_limit, s.lp.refactor_interval,
-      s.lp.bland_threshold);
-}
-
-/// A CoaSession kept for warm resumes. attack() mutates it, so one job at
-/// a time holds `mu`.
-struct CoaEntry {
-  CoaEntry(const core::SnmfAttackOptions& options, const core::ExecContext& ctx)
-      : session(options, ctx) {}
-  std::mutex mu;
-  core::CoaSession session;
-  std::size_t rank = 0;
-};
-
-/// One persistent MIP warm state (the root-LP basis). `mu` is held across
-/// the whole attack, so two identical MIP jobs never race on the basis.
-struct MipBasisEntry {
-  std::mutex mu;
-  core::MipWarmState state;
-};
-
-std::size_t basis_bytes(const opt::BasisState& b) {
-  return b.basis.size() * sizeof(std::size_t) +
-         b.status.size() * sizeof(opt::VarStatus) +
-         b.art_sign.size() * sizeof(double);
-}
-
-template <class Request>
-core::AttackResponse dispatch(Request req, const core::ExecContext& ctx,
-                              const core::DispatchHooks& hooks = {}) {
-  core::AttackRequest request;
-  request.request = std::move(req);
-  return core::dispatch_attack(request, ctx, hooks);
-}
-
-template <class Result>
-core::AttackResponse ok_response(Result&& res) {
-  core::AttackResponse resp;
-  resp.telemetry = res.telemetry;
-  resp.result = std::forward<Result>(res);
-  resp.status = core::AttackStatus::Ok;
-  resp.error = core::ErrorCode::Ok;
-  return resp;
-}
 
 }  // namespace
 
@@ -285,8 +172,8 @@ DaemonStats Daemon::stats() const {
   const core::WarmStore::Stats warm = store_.stats();
   s.corpus_cache_hits = warm[WarmKind::Corpus].hits;
   s.rank_cache_hits = warm[WarmKind::Rank].hits;
-  s.lep_session_hits = warm[WarmKind::LepSession].hits;
-  s.snmf_resumes = warm[WarmKind::CoaSession].hits;
+  s.lep_session_hits = warm[WarmKind::Lep].hits;
+  s.snmf_resumes = warm[WarmKind::Coa].hits;
   s.basis_cache_hits = warm[WarmKind::MipBasis].hits;
   const core::WarmStore::KindStats& score = warm[WarmKind::Score];
   s.score_cache_hits = score.hits;
@@ -301,216 +188,26 @@ DaemonStats Daemon::stats() const {
   return s;
 }
 
-// --------------------------------------------------------------- warm state
-
-core::CorpusRef Daemon::resolve_corpus(const core::CorpusRef& ref,
-                                       CorpusKind kind,
-                                       std::string& fingerprint) {
-  fingerprint.clear();
-  if (ref.ciphers != nullptr || ref.vecs != nullptr || ref.path.empty()) {
-    return ref;  // inline (no stable identity) or empty (dispatch validates)
-  }
-  const auto fp = stat_fingerprint(ref.path);
-  if (!fp) return ref;  // unreadable: let the loader raise the io error
-  const std::string key = core::warm_key(*fp, static_cast<int>(kind));
-  core::CorpusRef out;
-  if (kind == CorpusKind::Ciphers) {
-    using Ciphers = const std::vector<scheme::CipherPair>;
-    out.ciphers = store_.get_or_build<Ciphers>(WarmKind::Corpus, key, [&] {
-      auto loaded = ref.load_ciphers("corpus");
-      std::size_t doubles = 0;
-      for (const auto& c : *loaded) doubles += c.a.size() + c.b.size();
-      return Built<Ciphers>{loaded, doubles * sizeof(double)};
-    });
-  } else {
-    using Vecs = const std::vector<Vec>;
-    out.vecs = store_.get_or_build<Vecs>(WarmKind::Corpus, key, [&] {
-      auto loaded = ref.load_vecs("corpus");
-      std::size_t doubles = 0;
-      for (const auto& v : *loaded) doubles += v.size();
-      return Built<Vecs>{loaded, doubles * sizeof(double)};
-    });
-  }
-  fingerprint = *fp;
-  return out;
-}
-
 // --------------------------------------------------------------- execution
 
 core::AttackResponse Daemon::execute(const core::AttackRequest& request,
                                      const JobOptions& options) {
-  core::AttackResponse resp;
-  try {
-    resp = execute_resolved(request, options);
-  } catch (const std::exception& e) {
-    resp = refused(core::error_code_of(e), e.what());
-  }
-  // The job has let go of its warm state: settle back under the budget.
-  store_.trim();
-  return resp;
-}
-
-core::AttackResponse Daemon::execute_resolved(
-    const core::AttackRequest& request, const JobOptions& options) {
-  core::ExecContext ctx = job_context(options);
+  core::ExecContext ctx;
+  ctx.threads = options.threads;
+  ctx.seed = options.seed;
   ctx.memory_budget_bytes = options_.memory_budget_bytes;
   ForwardSink collector(options_.sink);
   if (options.want_telemetry || options_.sink != nullptr) {
     ctx.sink = &collector;
   }
-
-  core::AttackResponse resp = std::visit(
-      [&](const auto& typed) -> core::AttackResponse {
-        using T = std::decay_t<decltype(typed)>;
-        if constexpr (std::is_same_v<T, core::LepRequest>) {
-          return execute_lep(typed, ctx);
-        } else if constexpr (std::is_same_v<T, core::MipRequest>) {
-          return execute_mip(typed, ctx);
-        } else {
-          return execute_snmf(typed, ctx);
-        }
-      },
-      request.request);
-
+  core::AttackResponse resp = core::dispatch_attack(request, ctx, &store_);
   if (!options.want_telemetry) {
     resp.telemetry.spans.clear();
     resp.telemetry.gauges.clear();
   }
+  // The job has let go of its warm state: settle back under the budget.
+  store_.trim();
   return resp;
-}
-
-core::AttackResponse Daemon::execute_lep(const core::LepRequest& typed,
-                                         const core::ExecContext& ctx) {
-  core::LepRequest req = typed;
-  std::string kp_fp, db_fp, td_fp;
-  req.known_plain = resolve_corpus(typed.known_plain, CorpusKind::Vecs, kp_fp);
-  req.db = resolve_corpus(typed.db, CorpusKind::Ciphers, db_fp);
-  req.trapdoors = resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, td_fp);
-  if (kp_fp.empty() || db_fp.empty() || td_fp.empty()) {
-    return dispatch(std::move(req), ctx);
-  }
-
-  // The recording wraps session build *and* assemble; the session itself
-  // runs with a null sink (its spans land in this recording).
-  obs::ScopedRecording rec(ctx.sink);
-  const auto session = store_.get_or_build<const core::LepSession>(
-      WarmKind::LepSession,
-      lep_session_key(core::warm_key(kp_fp, db_fp, td_fp), req.options), [&] {
-        const auto known = req.known_plain.load_vecs("lep known-plain");
-        const auto db = req.db.load_ciphers("lep db");
-        const auto trapdoors = req.trapdoors.load_ciphers("lep trapdoors");
-        if (known->size() > db->size()) {
-          throw core::Error(core::ErrorCode::BadInput,
-                            "lep: more known records than ciphertexts");
-        }
-        core::ExecContext session_ctx = ctx;
-        session_ctx.sink = nullptr;
-        auto built =
-            std::make_shared<core::LepSession>(req.options, session_ctx);
-        std::vector<sse::KnownIndexPair> pairs;
-        pairs.reserve(known->size());
-        for (std::size_t i = 0; i < known->size(); ++i) {
-          pairs.push_back({scheme::make_index((*known)[i]), (*db)[i]});
-        }
-        built->add_known_pairs(pairs);
-        sse::CoaView view;
-        view.cipher_indexes = *db;
-        view.cipher_trapdoors = *trapdoors;
-        built->append_ciphertexts(view);
-        return Built<const core::LepSession>{built, built->resident_bytes()};
-      });
-
-  // result() is bit-identical to run_lep_attack on the same view (the
-  // session contract), so warm hits return exactly the cold answer.
-  auto res = session->result();
-  res.telemetry.absorb(rec.finish());
-  return ok_response(std::move(res));
-}
-
-core::AttackResponse Daemon::execute_mip(const core::MipRequest& typed,
-                                         const core::ExecContext& ctx) {
-  core::MipRequest req = typed;
-  std::string kp_fp, db_fp, td_fp;
-  req.known_plain = resolve_corpus(typed.known_plain, CorpusKind::Vecs, kp_fp);
-  req.db = resolve_corpus(typed.db, CorpusKind::Ciphers, db_fp);
-  req.trapdoors = resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, td_fp);
-  if (kp_fp.empty() || db_fp.empty() || td_fp.empty()) {
-    return dispatch(std::move(req), ctx);
-  }
-
-  // Repeated jobs over the same corpora and parameters warm-start the root
-  // LP from the stored basis; the entry is built empty and filled by the
-  // first attack, so its bytes are recorded after each run.
-  const std::string key =
-      mip_basis_key(core::warm_key(kp_fp, db_fp, td_fp), req);
-  const auto entry =
-      store_.get_or_build<MipBasisEntry>(WarmKind::MipBasis, key, [] {
-        return Built<MipBasisEntry>{std::make_shared<MipBasisEntry>(), 0};
-      });
-  std::lock_guard<std::mutex> lk(entry->mu);
-  core::DispatchHooks hooks;
-  hooks.mip_warm = &entry->state;
-  core::AttackResponse resp = dispatch(std::move(req), ctx, hooks);
-  store_.resize(WarmKind::MipBasis, key, basis_bytes(entry->state.root_basis));
-  return resp;
-}
-
-core::AttackResponse Daemon::execute_snmf(const core::SnmfRequest& typed,
-                                          const core::ExecContext& ctx) {
-  core::SnmfRequest req = typed;
-  std::string db_fp, td_fp;
-  req.db = resolve_corpus(typed.db, CorpusKind::Ciphers, db_fp);
-  req.trapdoors = resolve_corpus(typed.trapdoors, CorpusKind::Ciphers, td_fp);
-  if (db_fp.empty() || td_fp.empty()) return dispatch(std::move(req), ctx);
-  const std::string corpora = core::warm_key(db_fp, td_fp);
-
-  if (!req.reuse_session) {
-    // Dispatch reads the score matrix and the rank estimate through the
-    // store; both builds are deterministic, so a hit never changes output.
-    core::DispatchHooks hooks;
-    hooks.store = &store_;
-    hooks.score_key = corpora;
-    return dispatch(std::move(req), ctx, hooks);
-  }
-
-  const std::string key = coa_session_key(corpora, req.options, ctx);
-  obs::ScopedRecording rec(ctx.sink);
-  const auto entry =
-      store_.get_or_build<CoaEntry>(WarmKind::CoaSession, key, [&] {
-        const auto db = req.db.load_ciphers("snmf db");
-        const auto trapdoors = req.trapdoors.load_ciphers("snmf trapdoors");
-        core::ExecContext session_ctx = ctx;
-        session_ctx.sink = nullptr;
-        auto built = std::make_shared<CoaEntry>(req.options, session_ctx);
-        sse::CoaView view;
-        view.cipher_indexes = *db;
-        view.cipher_trapdoors = *trapdoors;
-        built->session.append_ciphertexts(view);
-        std::size_t rank = req.options.rank;
-        if (rank == 0) {
-          rank = built->session.estimate_rank(req.options.rank_tol);
-          if (rank == 0) {
-            throw core::Error(core::ErrorCode::NotReady,
-                              "snmf: rank estimation found a zero matrix");
-          }
-        }
-        built->session.set_rank(rank);
-        built->rank = rank;
-        return Built<CoaEntry>{built, built->session.resident_bytes()};
-      });
-
-  std::lock_guard<std::mutex> lk(entry->mu);
-  // First attack of a fresh session == run_snmf_attack bit for bit; later
-  // calls warm-resume (same fixed point, not bitwise — which is why this
-  // path requires the reuse_session opt-in).
-  auto res = entry->session.attack();
-  store_.resize(WarmKind::CoaSession, key, entry->session.resident_bytes());
-  if (req.options.rank == 0) {
-    res.telemetry.counters["snmf.estimated_rank"] =
-        static_cast<double>(entry->rank);
-  }
-  res.telemetry.absorb(rec.finish());
-  return ok_response(std::move(res));
 }
 
 // ------------------------------------------------------------------ server
@@ -630,9 +327,9 @@ void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
         }
         case FrameType::SubmitBatch: {
           WireReader r(frame->payload);
-          // Minimum bytes per job: the fixed-size JobOptions block (26)
+          // Minimum bytes per job: the fixed-size JobOptions block (25)
           // plus a one-byte request tag.
-          const std::size_t n = r.count(27, "svc submit-batch job count");
+          const std::size_t n = r.count(26, "svc submit-batch job count");
           std::vector<std::pair<JobOptions, core::AttackRequest>> jobs;
           jobs.reserve(n);
           for (std::size_t i = 0; i < n; ++i) {

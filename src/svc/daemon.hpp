@@ -1,22 +1,20 @@
 // aspe::svc — the long-running attack service.
 //
-// A Daemon owns the warm state that one-shot CLI invocations rebuild on
-// every run, in one core::WarmStore under one byte budget: parsed corpora
-// (keyed by path, size and mtime), score matrices and rank estimates for
-// SNMF jobs, persistent core::LepSession objects (whose LU factorizations
-// make a repeated LEP job a copy-out instead of a fresh solve —
-// bit-identical to the batch attack, per the session contract), opt-in
-// core::CoaSession objects for SNMF warm resumes, and MIP root-LP bases.
+// A Daemon is a job queue plus stats in front of core::dispatch_attack.
 // Jobs arrive as core::AttackRequest values (decoded from Submit frames by
 // the Server, or handed in directly by in-process callers), wait in a
-// bounded FIFO queue with per-job deadlines and cancellation, and leave as
-// core::AttackResponse.
+// bounded FIFO queue with per-job deadlines and cancellation, run through
+// dispatch_attack with the daemon's one core::WarmStore, and leave as
+// core::AttackResponse. The store holds, under one byte budget, the warm
+// state that one-shot CLI invocations rebuild on every run; dispatch
+// decides what to keep and how to key it (docs/api.md), so a daemon job
+// answers exactly like the one-shot CLI.
 //
 // Threading: Daemon::submit/cancel/execute are safe to call from any
 // thread. Worker threads execute jobs concurrently; the attacks' parallel
 // sections share the process pool (a second concurrent batch degrades to
 // serial inside the pool, so results stay bit-identical at any worker
-// count). A CoA session or MIP basis is used by one job at a time.
+// count).
 #pragma once
 
 #include <atomic>
@@ -85,10 +83,10 @@ class Daemon {
   /// with workers == 0 it is the only way jobs run.
   bool run_one();
 
-  /// Execute a request synchronously through the warm-state store,
-  /// bypassing the queue (used by the workers, and directly by
-  /// benches/tests). Never throws; failures map onto the ErrorCode taxonomy
-  /// exactly like core::dispatch_attack.
+  /// Execute a request synchronously through core::dispatch_attack with
+  /// the warm-state store, bypassing the queue (used by the workers, and
+  /// directly by benches/tests). Never throws; failures map onto the
+  /// ErrorCode taxonomy.
   [[nodiscard]] core::AttackResponse execute(const core::AttackRequest& request,
                                              const JobOptions& options);
 
@@ -111,24 +109,6 @@ class Daemon {
   void worker_loop();
   [[nodiscard]] core::AttackResponse refused(core::ErrorCode code,
                                              const std::string& message) const;
-
-  enum class CorpusKind { Ciphers, Vecs };
-
-  /// Resolve a path ref through the store's corpus kind (stat-validated),
-  /// loading it as `kind` on a miss. Returns the ref unchanged when it is
-  /// inline already. `fingerprint` receives the corpus identity string (""
-  /// for inline or unreadable refs — no stable identity, so no warm state).
-  core::CorpusRef resolve_corpus(const core::CorpusRef& ref, CorpusKind kind,
-                                 std::string& fingerprint);
-
-  [[nodiscard]] core::AttackResponse execute_resolved(
-      const core::AttackRequest& request, const JobOptions& options);
-  [[nodiscard]] core::AttackResponse execute_lep(const core::LepRequest& req,
-                                                 const core::ExecContext& ctx);
-  [[nodiscard]] core::AttackResponse execute_mip(const core::MipRequest& req,
-                                                 const core::ExecContext& ctx);
-  [[nodiscard]] core::AttackResponse execute_snmf(const core::SnmfRequest& req,
-                                                  const core::ExecContext& ctx);
 
   DaemonOptions options_;
 

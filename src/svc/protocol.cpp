@@ -145,7 +145,6 @@ std::vector<BitVec> decode_bits_list(WireReader& r) {
 void encode_job_options(WireWriter& w, const JobOptions& opts) {
   w.u64(opts.threads);
   w.u64(opts.seed);
-  w.u8(opts.deterministic ? 1 : 0);
   w.u64(opts.deadline_ms);
   w.u8(opts.want_telemetry ? 1 : 0);
 }
@@ -154,7 +153,6 @@ JobOptions decode_job_options(WireReader& r) {
   JobOptions opts;
   opts.threads = static_cast<std::size_t>(r.u64());
   opts.seed = r.u64();
-  opts.deterministic = r.u8() != 0;
   opts.deadline_ms = r.u64();
   opts.want_telemetry = r.u8() != 0;
   return opts;

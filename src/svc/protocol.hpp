@@ -74,7 +74,6 @@ enum class FrameType : std::uint32_t {
 struct JobOptions {
   std::size_t threads = 1;
   std::uint64_t seed = 2017;
-  bool deterministic = true;
   /// 0 = no deadline. Otherwise the job must *start* within this many
   /// milliseconds of the daemon accepting it; a job still queued when the
   /// deadline passes fails with ErrorCode::Budget (running jobs are never

@@ -65,7 +65,6 @@ TEST(SvcProtocol, SubmitPayloadRoundTripsEveryKind) {
   JobOptions jopts;
   jopts.threads = 4;
   jopts.seed = 99;
-  jopts.deterministic = false;
   jopts.deadline_ms = 1500;
   jopts.want_telemetry = true;
 
@@ -86,7 +85,6 @@ TEST(SvcProtocol, SubmitPayloadRoundTripsEveryKind) {
     r.expect_end("submit payload");
     EXPECT_EQ(jo.threads, 4u);
     EXPECT_EQ(jo.seed, 99u);
-    EXPECT_FALSE(jo.deterministic);
     EXPECT_EQ(jo.deadline_ms, 1500u);
     EXPECT_TRUE(jo.want_telemetry);
     ASSERT_EQ(back.kind(), core::AttackKind::Lep);
@@ -988,25 +986,20 @@ class SvcWarmState : public SvcScheduler {
   }
 };
 
-TEST_F(SvcWarmState, CoaSessionKeyCoversEveryOptionAndDeterminism) {
+TEST_F(SvcWarmState, CoaSessionKeyCoversEveryOption) {
   make_snmf_corpus();
   core::AttackRequest base = snmf_request();
   std::get<core::SnmfRequest>(base.request).reuse_session = true;
   core::AttackRequest sparse = base;
   std::get<core::SnmfRequest>(sparse.request).options.nmf.lambda = 5.0;
-  JobOptions streams;
-  streams.deterministic = false;
 
   Daemon daemon{DaemonOptions{}};
   ASSERT_TRUE(daemon.execute(base, {}).ok());
-  // A different NMF penalty or RNG stream mode is a different session: each
-  // job gets a fresh one, so it answers exactly like a fresh daemon.
+  // A different NMF penalty is a different session: the job gets a fresh
+  // one, so it answers exactly like a fresh daemon.
   const core::AttackResponse got_sparse = daemon.execute(sparse, {});
-  const core::AttackResponse got_streams = daemon.execute(base, streams);
   EXPECT_EQ(daemon.stats().snmf_resumes, 0u);
   expect_same_snmf(got_sparse, Daemon{DaemonOptions{}}.execute(sparse, {}));
-  expect_same_snmf(got_streams,
-                   Daemon{DaemonOptions{}}.execute(base, streams));
 
   // The identical request still resumes its own session.
   ASSERT_TRUE(daemon.execute(base, {}).ok());

@@ -60,7 +60,7 @@ TEST(WarmStore, ConcurrentMissesOnOneKeyBuildOnce) {
 TEST(WarmStore, ThrowingBuildLeavesNothingBehind) {
   WarmStore store;
   EXPECT_THROW((void)store.get_or_build<Int>(
-                   WarmKind::LepSession, "k",
+                   WarmKind::Lep, "k",
                    []() -> WarmStore::Built<Int> {
                      throw std::runtime_error("half-built session");
                    }),
@@ -68,13 +68,13 @@ TEST(WarmStore, ThrowingBuildLeavesNothingBehind) {
   EXPECT_EQ(store.stats().bytes, 0u);
 
   std::atomic<int> builds{0};
-  const auto value = store.get_or_build<Int>(WarmKind::LepSession, "k",
+  const auto value = store.get_or_build<Int>(WarmKind::Lep, "k",
                                              int_builder(3, 16, &builds));
   EXPECT_EQ(*value, 3);
   EXPECT_EQ(builds.load(), 1);  // rebuilt, not served a failed marker
   const WarmStore::Stats st = store.stats();
-  EXPECT_EQ(st[WarmKind::LepSession].misses, 2u);
-  EXPECT_EQ(st[WarmKind::LepSession].hits, 0u);
+  EXPECT_EQ(st[WarmKind::Lep].misses, 2u);
+  EXPECT_EQ(st[WarmKind::Lep].hits, 0u);
   EXPECT_EQ(st.bytes, 16u);
 }
 

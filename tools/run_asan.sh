@@ -56,13 +56,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "MipBudget|Mip\.|Presolve"
 
-# Seventh pre-pass over the warm-state store and the svc daemon: the store
-# hands type-erased shared_ptrs out and frees evicted values while jobs
-# may still hold others, framed protocol decoding walks attacker-controlled
-# length prefixes, connection handlers hand shared_ptr connections to
-# worker-thread delivery lambdas, and the server teardown shuts sockets
-# down before joining. The suites include deliberately malformed frames.
+# Seventh pre-pass over the warm-state store, dispatch's warm paths and
+# the svc daemon: the store hands type-erased shared_ptrs out and frees
+# evicted values while jobs may still hold others, framed protocol decoding
+# walks attacker-controlled length prefixes, connection handlers hand
+# shared_ptr connections to worker-thread delivery lambdas, and the server
+# teardown shuts sockets down before joining. The suites include
+# deliberately malformed frames.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "WarmStore|Svc"
+  -R "WarmStore|DispatchStore|Svc"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

@@ -53,11 +53,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 
 # Seventh pre-pass: the warm-state store — building markers that park
 # concurrent misses, refcount pins checked by eviction, per-kind byte
-# accounting — and the daemon suites that share it across workers: CoA
-# sessions and MIP bases mutated under per-entry locks, and the 8-worker
-# budget soak whose outputs must match an unbudgeted daemon's bit for bit.
+# accounting — dispatch's warm paths over it (corpora, sessions, bases,
+# score matrices and rank estimates), and the daemon suites that share it
+# across workers: CoA sessions and MIP bases mutated under per-entry locks,
+# and the 8-worker budget soak whose outputs must match an unbudgeted
+# daemon's bit for bit.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "WarmStore|SvcWarmState|SvcScheduler"
+  -R "WarmStore|DispatchStore|SvcWarmState|SvcScheduler"
 
 # Eighth pre-pass: the rest of the svc daemon — worker threads against the
 # bounded queue, per-connection handler threads delivering results under

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace aspe {
 
@@ -30,9 +31,12 @@ class NumericalError : public Error {
   explicit NumericalError(const std::string& what) : Error(what) {}
 };
 
-/// Require `cond`; throw InvalidArgument with `msg` otherwise.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw InvalidArgument(msg);
+/// Require `cond`; throw InvalidArgument with `msg` otherwise. A passing
+/// check allocates nothing: the message is copied into a std::string only
+/// on the throw path, so bounds checks in hot kernels stay free. (A message
+/// built with `+` at the call site is still built on every call.)
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] throw InvalidArgument(std::string(msg));
 }
 
 }  // namespace aspe

@@ -10,7 +10,6 @@ namespace aspe::nmf {
 using linalg::ConstVecView;
 using linalg::Matrix;
 using linalg::VecView;
-using linalg::dot;
 
 void NnlsWorkspace::clear() {
   passive_.clear();
@@ -46,21 +45,29 @@ void NnlsWorkspace::refactor_from(const Matrix& g, std::size_t from) {
   const std::size_t k = passive_.size();
   ensure_capacity(k, g.rows());
   // Same per-entry arithmetic as linalg::Cholesky, computed row-wise so a
-  // partial pass is exactly the suffix of a full factorization.
+  // partial pass is exactly the suffix of a full factorization. Each inner
+  // product starts from 0.0 and adds in ascending index order (linalg::dot's
+  // order) before it is subtracted; Nnls.PaperCellSelectionPinnedBitwise
+  // pins the resulting bits. The raw row loops carry no bounds checks:
+  // tools/run_asan.sh's NNLS pre-pass is their check.
   for (std::size_t i = from; i < k; ++i) {
     const std::size_t gi = passive_[i];
+    const double* g_row = g.row_ptr(gi);
+    double* l_row = l_.row_ptr(i);
     for (std::size_t j = 0; j < i; ++j) {
-      const double s = g(gi, passive_[j]) - dot(l_.row_view(i).subvec(0, j),
-                                                l_.row_view(j).subvec(0, j));
-      l_(i, j) = s / l_(j, j);
+      const double* l_prev = l_.row_ptr(j);
+      double s = 0.0;
+      for (std::size_t t = 0; t < j; ++t) s += l_row[t] * l_prev[t];
+      l_row[j] = (g_row[passive_[j]] - s) / l_prev[j];
     }
-    const ConstVecView row = l_.row_view(i).subvec(0, i);
-    const double diag = g(gi, gi) - dot(row, row);
+    double s = 0.0;
+    for (std::size_t t = 0; t < i; ++t) s += l_row[t] * l_row[t];
+    const double diag = g_row[gi] - s;
     if (!(diag > 0.0) || !std::isfinite(diag)) {
       throw NumericalError(
           "nnls_gram: passive Gram block is not positive definite");
     }
-    l_(i, i) = std::sqrt(diag);
+    l_row[i] = std::sqrt(diag);
   }
   factor_rows_ += k - from;
 }
@@ -68,19 +75,19 @@ void NnlsWorkspace::refactor_from(const Matrix& g, std::size_t from) {
 void NnlsWorkspace::solve_passive(ConstVecView f) {
   const std::size_t k = passive_.size();
   z_.resize(k);
-  const ConstVecView zv(z_);
+  double* z = z_.data();
   // L y = f_P
   for (std::size_t i = 0; i < k; ++i) {
-    const double s =
-        f[passive_[i]] - dot(l_.row_view(i).subvec(0, i), zv.subvec(0, i));
-    z_[i] = s / l_(i, i);
+    const double* l_row = l_.row_ptr(i);
+    double s = 0.0;
+    for (std::size_t t = 0; t < i; ++t) s += l_row[t] * z[t];
+    z[i] = (f[passive_[i]] - s) / l_row[i];
   }
-  // L^T z = y (columns of L read through strided views)
+  // L^T z = y: column ii of L is read down the rows below the diagonal.
   for (std::size_t ii = k; ii-- > 0;) {
-    const std::size_t tail = k - ii - 1;
-    const double s = z_[ii] - dot(l_.col_view(ii).subvec(ii + 1, tail),
-                                  zv.subvec(ii + 1, tail));
-    z_[ii] = s / l_(ii, ii);
+    double s = 0.0;
+    for (std::size_t t = ii + 1; t < k; ++t) s += l_(t, ii) * z[t];
+    z[ii] = (z[ii] - s) / l_(ii, ii);
   }
 }
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "core/snmf_attack.hpp"
 #include "linalg/vector_ops.hpp"
 #include "rng/rng.hpp"
+#include "scheme/split_encryptor.hpp"
 
 namespace aspe::nmf {
 namespace {
@@ -219,6 +225,62 @@ TEST(Nnls, WorkspaceSanitizedOnProblemSizeChange) {
   EXPECT_FALSE(ws.warm_started());
   const Vec cold = nnls_gram(g7, f7);
   for (std::size_t j = 0; j < 7; ++j) EXPECT_EQ(x7[j], cold[j]);
+}
+
+
+/// FNV-1a over 64-bit words, fed the bit patterns of doubles so that a
+/// single flipped ulp anywhere changes the digest.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+TEST(Nnls, PaperCellSelectionPinnedBitwise) {
+  // One Table III cell (d = 24, m = n = 48, rho = 0.35, L = 3 restarts of
+  // 250 ANLS iterations) driven through the restart sweep. ANLS is 72,000
+  // warm NNLS solves here, so any change to the Cholesky refresh or the
+  // triangular solves that moves a single rounding shows up in the digest.
+  // Recorded at commit 3c3e62e; a change meant to keep answers must keep it.
+  const std::size_t d = 24;
+  const std::size_t m = 2 * d;
+  rng::Rng rng(2017);
+  scheme::SplitEncryptor enc(d, rng);
+  sse::CoaView view;
+  for (std::size_t i = 0; i < m; ++i) {
+    view.cipher_indexes.push_back(
+        enc.encrypt_index(to_real(rng.binary_bernoulli(d, 0.35)), rng));
+  }
+  const std::size_t q_ones = std::max<std::size_t>(2, d / 4);
+  for (std::size_t j = 0; j < m; ++j) {
+    view.cipher_trapdoors.push_back(
+        enc.encrypt_trapdoor(to_real(rng.binary_with_k_ones(d, q_ones)), rng));
+  }
+  const Matrix scores = core::build_score_matrix(view.cipher_indexes,
+                                                 view.cipher_trapdoors, 1);
+  core::SnmfAttackOptions opt;
+  opt.rank = d;
+  opt.restarts = 3;
+  opt.nmf.max_iterations = 250;
+  opt.nmf.rel_tol = 1e-7;
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const core::ExecContext ctx{.threads = threads, .seed = 91};
+    const core::SnmfSelection sel = core::run_snmf_restarts(
+        scores, opt, core::draw_snmf_inits(scores, opt, ctx), ctx);
+    Fnv1a digest;
+    for (double v : sel.factorization.w.data()) digest.add(v);
+    for (double v : sel.factorization.h.data()) digest.add(v);
+    digest.add(sel.factorization.objective);
+    digest.add(std::uint64_t{sel.factorization.iterations});
+    EXPECT_EQ(digest.h, 0xe2a47c43f0d88149ull) << "threads " << threads << " digest 0x"
+                                << std::hex << digest.h;
+  }
 }
 
 }  // namespace

@@ -31,8 +31,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "WarmStart|SimplexStress|Simplex\.|Mip|Lu\."
 
 # Third pre-pass over the truncated-SVD / warm-NNLS path: blocked QR panels,
-# workspace Cholesky up/downdates and per-column factor buffers are the
-# newest raw-pointer code (PR 5), and the suites run in well under a second.
+# workspace Cholesky up/downdates and per-column factor buffers are raw-
+# pointer code. The NNLS factor refresh and triangular solves read the
+# factor and Gram rows through bare row pointers with no view bounds checks,
+# so this pass is their only bounds check; `Nnls\.` includes the Table III
+# bit pin (Nnls.PaperCellSelectionPinnedBitwise), which drives them through
+# 72,000 warm solves. The suites run in a few seconds.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "Svd\.|Nnls\.|Qr\."
 

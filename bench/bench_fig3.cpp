@@ -3,7 +3,8 @@
 //
 // Paper setting: d = 500 bloom filters, m = n in {125, ..., 2000}, density
 // in [5%, 35%]. Default here: d = 24 with m = n in {24, 48, 96} so the bench
-// finishes in ~a minute; --full raises d to 100 and m up to 400.
+// finishes in ~a minute; --full raises d to 100 and m up to 400. Both run
+// the paper's ANLS at all hardware threads (answers are thread-invariant).
 //
 // Usage: bench_fig3 [--full] [--d=24] [--ms=24,48,96] [--seed=S]
 //                   [--trace-json=PATH] [--metrics-json=PATH]
@@ -30,8 +31,9 @@ int main(int argc, char** argv) {
   bench::print_banner(
       "Figure 3: SNMF attack accuracy vs number of ciphertexts m = n",
       "Enron-style corpus -> MKFSE pipeline -> COA reconstruction");
-  std::printf("bloom bits d = %zu (paper: 500; see EXPERIMENTS.md scaling)\n\n",
+  std::printf("bloom bits d = %zu (paper: 500; see EXPERIMENTS.md scaling)\n",
               d);
+  std::printf("threads = %zu\n\n", par::default_threads());
 
   bench::TablePrinter table(
       {"m=n", "P@data", "R@data", "P@query", "R@query", "Time(s)"}, 11);
@@ -72,9 +74,8 @@ int main(int argc, char** argv) {
     aopt.restarts = 3;
     aopt.nmf.max_iterations = 250;
     aopt.nmf.rel_tol = 1e-7;
-    aopt.nmf.algorithm =
-        full ? nmf::Algorithm::MultiplicativeUpdate : nmf::Algorithm::Anls;
-    const core::ExecContext actx{.seed = seed * 11 + m,
+    const core::ExecContext actx{.threads = 0,
+                                 .seed = seed * 11 + m,
                                  .sink = obs_flags.sink()};
     const auto res =
         core::run_snmf_attack(sse::observe(system.server()), aopt, actx);

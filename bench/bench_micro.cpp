@@ -85,6 +85,8 @@ void BM_Nnls(benchmark::State& state) {
 }
 BENCHMARK(BM_Nnls)->Arg(16)->Arg(32)->Arg(64);
 
+// One ANLS iteration (an NNLS half-step each for H and W) from a random
+// start on an exact rank-d product.
 void BM_SparseNmfIteration(benchmark::State& state) {
   const auto d = static_cast<std::size_t>(state.range(0));
   rng::Rng rng(5);
@@ -95,7 +97,6 @@ void BM_SparseNmfIteration(benchmark::State& state) {
   nmf::SparseNmfOptions opt;
   opt.max_iterations = 1;
   opt.rel_tol = 0.0;
-  opt.algorithm = nmf::Algorithm::MultiplicativeUpdate;
   for (auto _ : state) {
     rng::Rng run_rng(6);
     benchmark::DoNotOptimize(nmf::sparse_nmf(r, d, opt, run_rng));

@@ -354,10 +354,9 @@ AttackResponse dispatch_snmf(const SnmfRequest& req, const ExecContext& ctx,
     const SnmfAttackOptions& o = req.options;
     const nmf::SparseNmfOptions& n = o.nmf;
     const std::string key = warm_key(
-        load.identity(), o.rank, o.theta, o.restarts, o.rank_tol, o.balance,
+        load.identity(), o.rank, o.theta, o.restarts, o.rank_tol,
         o.resume_iterations, n.eta, n.lambda, n.max_iterations, n.rel_tol,
-        static_cast<int>(n.algorithm), static_cast<int>(n.init), n.warm_start,
-        ctx.seed);
+        static_cast<int>(n.init), n.warm_start, ctx.seed);
     obs::ScopedRecording rec(ctx.sink);
     const auto entry =
         warm->get_or_build<CoaEntry>(WarmKind::Coa, key, [&] {

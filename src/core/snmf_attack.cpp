@@ -345,11 +345,13 @@ SnmfSelection run_snmf_restarts(const Matrix& scores,
 SnmfAttackResult binarize_snmf_selection(const SnmfSelection& selection,
                                          const SnmfAttackOptions& options) {
   obs::Span binarize_span("snmf/binarize");
-  // Balancing rescales in place; work on copies so the caller's selection
-  // stays a valid warm seed for the next resume.
+  // Rescale latent rows (W^T H invariant) so the fixed theta is meaningful
+  // under NMF's diagonal-scale ambiguity. Balancing rescales in place; work
+  // on copies so the caller's selection stays a valid warm seed for the next
+  // resume.
   Matrix w = selection.factorization.w;
   Matrix h = selection.factorization.h;
-  if (options.balance) nmf::balance_rows(w, h);
+  nmf::balance_rows(w, h);
   const Matrix wb = nmf::to_binary(w, options.theta);
   const Matrix hb = nmf::to_binary(h, options.theta);
 

@@ -37,9 +37,6 @@ struct SnmfAttackOptions {
   /// estimation identity: anything caching an estimated rank must key on it
   /// alongside the corpus fingerprint and seed.
   double rank_tol = 1e-8;
-  /// Rescale latent rows before thresholding (W^T H invariant); makes the
-  /// fixed theta meaningful under NMF's diagonal-scale ambiguity.
-  bool balance = true;
   /// ANLS iteration budget of one warm resume (CoaSession's incremental
   /// attack; 0 = nmf.max_iterations). A warm seed restarts one run instead
   /// of the L-restart sweep, and every appended batch buys it another

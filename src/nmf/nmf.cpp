@@ -65,10 +65,9 @@ double penalty(const Matrix& w, const Matrix& h, double eta, double lambda) {
 /// Eq. (18) via the Gram identity
 ///   ||R - W^T H||_F^2 = ||R||_F^2 - 2 <F, W> + <W W^T, H H^T>,  F = H R^T,
 /// O(d^2 (m + n)) given F, against the naive O(m n d) residual sweep. F is
-/// a by-product of both the ANLS W-half-step and the MU W-numerator, so
-/// per-iteration convergence checks get it for free. The small clamp
-/// absorbs the cancellation roundoff that can push an (exactly tiny) fit a
-/// hair negative.
+/// a by-product of the ANLS W-half-step, so per-iteration convergence
+/// checks get it for free. The small clamp absorbs the cancellation
+/// roundoff that can push an (exactly tiny) fit a hair negative.
 double objective_from_gram(double r_fro2, const Matrix& f_w, const Matrix& w,
                            const Matrix& h, double eta, double lambda,
                            double* fit_error, std::size_t threads) {
@@ -157,56 +156,6 @@ void update_w_anls(const Matrix& r, Matrix& w, const Matrix& h, double eta,
   stats.absorb(ws);
 }
 
-/// Multiplicative updates for the same objective. The W-step numerator is
-/// H R^T with the already-updated H — exactly the F the objective needs —
-/// so it is computed straight into f_w.
-void update_mu(const Matrix& r, Matrix& w, Matrix& h, double eta,
-               double lambda, std::size_t threads, Matrix& f_w) {
-  constexpr double kEps = 1e-12;
-  const std::size_t d = w.rows();
-  const std::size_t m = w.cols();
-  const std::size_t n = h.cols();
-
-  // H <- H .* (W R) ./ (W W^T H + lambda * ones * H + eps)
-  {
-    Matrix wwt = gram_rows(w, threads);
-    Matrix numer(d, n);
-    linalg::gemm(1.0, w.cview(), Op::None, r.cview(), Op::None, 0.0,
-                 numer.view(), threads);
-    Matrix denom(d, n);
-    linalg::gemm(1.0, wwt.cview(), Op::None, h.cview(), Op::None, 0.0,
-                 denom.view(), threads);
-    // + lambda * (column sums of H broadcast to every row)
-    for_each_index(n, 2 * d, threads, [&](std::size_t j) {
-      double colsum = 0.0;
-      for (std::size_t k = 0; k < d; ++k) colsum += h(k, j);
-      for (std::size_t k = 0; k < d; ++k) denom(k, j) += lambda * colsum;
-    });
-    for_each_index(d, n, threads, [&](std::size_t k) {
-      for (std::size_t j = 0; j < n; ++j) {
-        h(k, j) *= numer(k, j) / (denom(k, j) + kEps);
-      }
-    });
-  }
-
-  // W <- W .* (H R^T) ./ (H H^T W + eta W + eps)
-  {
-    Matrix hht = gram_rows(h, threads);
-    if (f_w.rows() != d || f_w.cols() != m) f_w = Matrix(d, m);
-    linalg::gemm(1.0, h.cview(), Op::None, r.cview(), Op::Transpose, 0.0,
-                 f_w.view(), threads);
-    Matrix denom(d, m);
-    linalg::gemm(1.0, hht.cview(), Op::None, w.cview(), Op::None, 0.0,
-                 denom.view(), threads);
-    for_each_index(d, m, threads, [&](std::size_t k) {
-      for (std::size_t i = 0; i < m; ++i) {
-        denom(k, i) += eta * w(k, i);
-        w(k, i) *= f_w(k, i) / (denom(k, i) + kEps);
-      }
-    });
-  }
-}
-
 /// Combine the leading singular triplets (left/right in the factored
 /// orientation, i.e. after any transpose swap) into the NNDSVD seed.
 void nndsvd_from_triplets(const Matrix& left, const Matrix& right,
@@ -259,12 +208,11 @@ void nndsvd_from_triplets(const Matrix& left, const Matrix& right,
 
 /// NNDSVD: seed (W, H) from the leading singular triplets of R, keeping the
 /// dominant sign pattern of each rank-1 term (Boutsidis & Gallopoulos 2008,
-/// the "NNDSVDa"-style epsilon fill so multiplicative updates can escape
-/// exact zeros). W is d x m, H is d x n with R ~= W^T H. Only the leading
-/// `rank` triplets are ever read, so on large inputs the randomized
-/// truncated SVD (rank + oversample triplets, fixed internal seed) computes
-/// exactly what is needed instead of the full spectrum — a numerically
-/// different, equally valid initialization. Small inputs, and a projected
+/// with an "NNDSVDa"-style epsilon fill). W is d x m, H is d x n with
+/// R ~= W^T H. Only the leading `rank` triplets are ever read, so on large
+/// inputs the randomized truncated SVD (rank + oversample triplets, fixed
+/// internal seed) computes exactly what is needed instead of the full
+/// spectrum — a numerically different, equally valid initialization. Small inputs, and a projected
 /// Jacobi that fails to converge, use the full SVD.
 void nndsvd_init(const Matrix& r, std::size_t rank, Matrix& w, Matrix& h,
                  double fill) {
@@ -322,8 +270,10 @@ NmfInit nmf_initialize(const Matrix& r, std::size_t rank,
   init.w = Matrix(rank, m);
   init.h = Matrix(rank, n);
   if (options.init == Initialization::Nndsvd) {
-    // Deterministic SVD-based seed; the epsilon fill keeps multiplicative
-    // updates from locking onto exact zeros.
+    // Deterministic SVD-based seed. The epsilon fill keeps every entry
+    // positive: a latent row that started all-zero would stay zero through
+    // every ANLS step (each half-step's optimum for it is zero), wasting a
+    // dimension whenever R has fewer than `rank` usable singular triplets.
     nndsvd_init(r, rank, init.w, init.h, 0.01 * init_scale);
   } else {
     // Random non-negative init scaled so W^T H matches R's mean magnitude.
@@ -335,11 +285,11 @@ NmfInit nmf_initialize(const Matrix& r, std::size_t rank,
 
 namespace {
 
-/// sparse_nmf_from_init, plus `resume` (sparse_nmf_resume): on the ANLS +
-/// warm_start path, treat the init as a near-solution and seed every
-/// column's NNLS passive set from the init's support before the first
-/// half-step, instead of discovering the supports from zero. That changes
-/// nothing but the warm-start state, so the fixed point reached is the same.
+/// sparse_nmf_from_init, plus `resume` (sparse_nmf_resume): on the warm_start
+/// path, treat the init as a near-solution and seed every column's NNLS
+/// passive set from the init's support before the first half-step, instead
+/// of discovering the supports from zero. That changes nothing but the
+/// warm-start state, so the fixed point reached is the same.
 NmfResult run_from_init(const Matrix& r, std::size_t rank,
                         const SparseNmfOptions& options, NmfInit init,
                         std::size_t threads, bool resume) {
@@ -353,16 +303,15 @@ NmfResult run_from_init(const Matrix& r, std::size_t rank,
   result.h = std::move(init.h);
 
   obs::Span run_span("nmf/run");
-  const bool anls = options.algorithm == Algorithm::Anls;
-  const bool warm = anls && options.warm_start;
+  const bool warm = options.warm_start;
 
   double r_fro2 = 0.0;
   for (auto x : r.data()) r_fro2 += x * x;
 
   // Per-column warm-start state, persisted across outer iterations (H
   // columns and W columns are distinct NNLS problem families).
-  std::vector<NnlsWorkspace> ws_h(anls ? r.cols() : 0);
-  std::vector<NnlsWorkspace> ws_w(anls ? r.rows() : 0);
+  std::vector<NnlsWorkspace> ws_h(r.cols());
+  std::vector<NnlsWorkspace> ws_w(r.rows());
   NnlsBatchStats stats;
   if (warm && resume) {
     // The init is a near-solution (sparse_nmf_resume): arm every column's
@@ -385,16 +334,11 @@ NmfResult run_from_init(const Matrix& r, std::size_t rank,
                                         options.eta, options.lambda, nullptr,
                                         threads);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    if (anls) {
-      update_h_anls(r, result.w, result.h, options.lambda, threads, ws_h,
-                    warm, stats);
-      update_w_anls(r, result.w, result.h, options.eta, threads, ws_w, warm,
-                    stats, f_w);
-    } else {
-      update_mu(r, result.w, result.h, options.eta, options.lambda, threads,
-                f_w);
-    }
-    obs::counter_add(anls ? "nmf.anls_iterations" : "nmf.mu_iterations", 1.0);
+    update_h_anls(r, result.w, result.h, options.lambda, threads, ws_h, warm,
+                  stats);
+    update_w_anls(r, result.w, result.h, options.eta, threads, ws_w, warm,
+                  stats, f_w);
+    obs::counter_add("nmf.anls_iterations", 1.0);
     result.iterations = it + 1;
     const double obj =
         objective_from_gram(r_fro2, f_w, result.w, result.h, options.eta,

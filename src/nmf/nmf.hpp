@@ -6,20 +6,16 @@
 //                   + eta/2 ||W||_F^2  +  lambda/2 sum_j ||h_j||_1^2
 //
 // where R is m x n, W is d x m (columns = indexes I_i) and H is d x n
-// (columns = trapdoors T_j). Two algorithms are provided:
-//   * ANLS  — alternating non-negativity-constrained least squares
-//             (Kim & Park 2007, the paper's citation [12]); accurate,
-//             per-iteration cost dominated by active-set NNLS solves.
-//   * MU    — multiplicative updates adapted to the same objective; cheaper
-//             per iteration, used for the larger benchmark settings.
+// (columns = trapdoors T_j). The solver is ANLS — alternating
+// non-negativity-constrained least squares (Kim & Park 2007, the paper's
+// citation [12]): each iteration solves every column of H, then of W, as an
+// active-set NNLS problem (nnls.hpp), which dominates its cost.
 #pragma once
 
 #include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
 
 namespace aspe::nmf {
-
-enum class Algorithm { Anls, MultiplicativeUpdate };
 
 enum class Initialization {
   /// iid uniform entries scaled to R's magnitude (the classic default; runs
@@ -36,15 +32,14 @@ struct SparseNmfOptions {
   double lambda = 0.01;  // L1^2 penalty on columns of H
   std::size_t max_iterations = 200;
   double rel_tol = 1e-5;  // stop when relative objective change is below
-  Algorithm algorithm = Algorithm::Anls;
   Initialization init = Initialization::Random;
-  /// ANLS only: carry each column's NNLS passive set across outer
-  /// iterations (NnlsWorkspace), so iteration t+1 starts from iteration
-  /// t's support instead of from zero. The warm and cold paths share every
-  /// solve formula and terminate on the same KKT support for
-  /// non-degenerate problems, so the factorization is bit-identical to
-  /// warm_start = false — just cheaper. Disable to benchmark the cold path
-  /// or to sidestep a (measure-zero) dual tie at the tolerance boundary.
+  /// Carry each column's NNLS passive set across outer iterations
+  /// (NnlsWorkspace), so iteration t+1 starts from iteration t's support
+  /// instead of from zero. The warm and cold paths share every solve formula
+  /// and terminate on the same KKT support for non-degenerate problems, so
+  /// the factorization is bit-identical to warm_start = false — just
+  /// cheaper. Disable to benchmark the cold path or to sidestep a
+  /// (measure-zero) dual tie at the tolerance boundary.
   bool warm_start = true;
 };
 
@@ -71,7 +66,7 @@ struct NmfInit {
                                      const SparseNmfOptions& options,
                                      rng::Rng& rng);
 
-/// Run the ANLS / MU iterations from a given initialization. `threads` caps
+/// Run the ANLS iterations from a given initialization. `threads` caps
 /// the width of the per-iteration parallel sections (0 = process default);
 /// the result is bit-identical for any width.
 [[nodiscard]] NmfResult sparse_nmf_from_init(const linalg::Matrix& r,

@@ -21,9 +21,7 @@ Matrix random_binary(std::size_t rows, std::size_t cols, double density,
   return m;
 }
 
-class NmfAlgorithms : public ::testing::TestWithParam<Algorithm> {};
-
-TEST_P(NmfAlgorithms, FitErrorSmallOnExactLowRankInput) {
+TEST(SparseNmf, FitErrorSmallOnExactLowRankInput) {
   rng::Rng rng(31);
   const std::size_t d = 6, m = 30, n = 30;
   const Matrix w = random_binary(d, m, 0.4, rng);
@@ -31,7 +29,6 @@ TEST_P(NmfAlgorithms, FitErrorSmallOnExactLowRankInput) {
   const Matrix r = product(w, h);
 
   SparseNmfOptions opt;
-  opt.algorithm = GetParam();
   opt.eta = 1e-3;
   opt.lambda = 1e-3;
   opt.max_iterations = 400;
@@ -46,12 +43,11 @@ TEST_P(NmfAlgorithms, FitErrorSmallOnExactLowRankInput) {
   EXPECT_LT(best, 0.12 * r.frobenius_norm() + 1e-9);
 }
 
-TEST_P(NmfAlgorithms, FactorsAreNonNegative) {
+TEST(SparseNmf, FactorsAreNonNegative) {
   rng::Rng rng(33);
   const Matrix r = product(random_binary(4, 12, 0.5, rng),
                            random_binary(4, 15, 0.5, rng));
   SparseNmfOptions opt;
-  opt.algorithm = GetParam();
   opt.max_iterations = 50;
   const NmfResult res = sparse_nmf(r, 4, opt, rng);
   for (auto x : res.w.data()) EXPECT_GE(x, 0.0);
@@ -62,12 +58,11 @@ TEST_P(NmfAlgorithms, FactorsAreNonNegative) {
   EXPECT_EQ(res.h.cols(), 15u);
 }
 
-TEST_P(NmfAlgorithms, ObjectiveDecreasesAcrossIterationBudgets) {
+TEST(SparseNmf, ObjectiveDecreasesAcrossIterationBudgets) {
   rng::Rng base(35);
   const Matrix r = product(random_binary(5, 20, 0.4, base),
                            random_binary(5, 20, 0.4, base));
   SparseNmfOptions opt;
-  opt.algorithm = GetParam();
   opt.rel_tol = 0.0;  // force the full budget
   double prev = 1e300;
   for (std::size_t iters : {1u, 5u, 25u, 100u}) {
@@ -78,13 +73,6 @@ TEST_P(NmfAlgorithms, ObjectiveDecreasesAcrossIterationBudgets) {
     prev = res.objective;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Algorithms, NmfAlgorithms,
-                         ::testing::Values(Algorithm::Anls,
-                                           Algorithm::MultiplicativeUpdate),
-                         [](const auto& info) {
-                           return info.param == Algorithm::Anls ? "Anls" : "Mu";
-                         });
 
 TEST(SparseNmf, LambdaEncouragesSparserH) {
   rng::Rng base(37);

@@ -42,7 +42,6 @@ SnmfAttackOptions fast_options(std::size_t d) {
   opt.restarts = 3;
   opt.nmf.max_iterations = 250;
   opt.nmf.rel_tol = 1e-7;
-  opt.nmf.algorithm = nmf::Algorithm::Anls;
   return opt;
 }
 
@@ -147,18 +146,6 @@ TEST(SnmfAttack, FrequencyDistributionPreserved) {
   EXPECT_EQ(top[0].second, 5u);
   EXPECT_EQ(top[1].second, 3u);
   EXPECT_EQ(top[2].second, 2u);
-}
-
-TEST(SnmfAttack, MultiplicativeUpdateVariantAlsoWorks) {
-  const Scenario s = make_scenario(8, 32, 32, 0.35, 0.3, 10);
-  SnmfAttackOptions opt = fast_options(8);
-  opt.nmf.algorithm = nmf::Algorithm::MultiplicativeUpdate;
-  opt.nmf.max_iterations = 600;
-  opt.restarts = 4;
-  const auto res = run_snmf_attack(s.view, opt, ExecContext{.seed = 11});
-  const auto pr = evaluate(s, res);
-  EXPECT_GE(pr.precision, 0.55);
-  EXPECT_GE(pr.recall, 0.55);
 }
 
 TEST(SnmfAttack, WorksAgainstRealMkfsePipeline) {

@@ -260,6 +260,12 @@ int main(int argc, char** argv) {
   }
   const double headline_speedup =
       points.empty() ? 0.0 : points.back().speedup;
+  // Both sides of the headline ratio, gated on their own: a change that
+  // speeds up both can move the ratio either way.
+  const double headline_batch_seconds =
+      points.empty() ? 0.0 : points.back().batch_seconds;
+  const double headline_incremental_seconds =
+      points.empty() ? 0.0 : points.back().incremental_seconds;
 
   std::printf(
       "\nInterpretation: the incremental session re-attacks the grown corpus\n"
@@ -291,6 +297,10 @@ int main(int argc, char** argv) {
       << "  ],\n";
   out << "  \"incremental_speedup_pipeline_n2048\": " << headline_speedup
       << ",\n";
+  out << "  \"batch_seconds_pipeline_n2048\": " << headline_batch_seconds
+      << ",\n";
+  out << "  \"incremental_seconds_pipeline_n2048\": "
+      << headline_incremental_seconds << ",\n";
   out << "  \"lep_warm_resolve_speedup\": " << lep_speedup << ",\n";
   out << "  \"score_matrix_bitwise_equal\": "
       << (all_bitwise ? "true" : "false") << ",\n";

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -342,6 +343,13 @@ struct CoaEntry {
 
 AttackResponse dispatch_snmf(const SnmfRequest& req, const ExecContext& ctx,
                              WarmStore* store) {
+  // One recording and one "snmf/attack" root cover the whole job — corpus
+  // load, score build and rank estimate as well as the attack — so the
+  // job's telemetry splits it by layer. The attack's own recording is then
+  // passive, and telemetry.wall_seconds stays the attack's own time.
+  obs::ScopedRecording rec(ctx.sink);
+  std::optional<obs::Span> root;
+  if (rec.active()) root.emplace("snmf/attack");
   CorpusLoader load(store);
   const auto db = load.ciphers(req.db, "snmf db");
   const auto trapdoors = load.ciphers(req.trapdoors, "snmf trapdoors");
@@ -357,7 +365,6 @@ AttackResponse dispatch_snmf(const SnmfRequest& req, const ExecContext& ctx,
         load.identity(), o.rank, o.theta, o.restarts, o.rank_tol,
         o.resume_iterations, n.eta, n.lambda, n.max_iterations, n.rel_tol,
         static_cast<int>(n.init), n.warm_start, ctx.seed);
-    obs::ScopedRecording rec(ctx.sink);
     const auto entry =
         warm->get_or_build<CoaEntry>(WarmKind::Coa, key, [&] {
           ExecContext session_ctx = ctx;
@@ -389,6 +396,7 @@ AttackResponse dispatch_snmf(const SnmfRequest& req, const ExecContext& ctx,
       res.telemetry.counters["snmf.estimated_rank"] =
           static_cast<double>(entry->session.options().rank);
     }
+    root.reset();
     res.telemetry.absorb(rec.finish());
     return answered(std::move(res), AttackStatus::Ok);
   }
@@ -398,6 +406,7 @@ AttackResponse dispatch_snmf(const SnmfRequest& req, const ExecContext& ctx,
   // deterministic at any thread count, so a store hit is bit-identical to a
   // rebuild.
   const auto build = [&] {
+    obs::Span span("snmf/score_matrix");
     return std::make_shared<const linalg::Matrix>(
         build_score_matrix(*db, *trapdoors, ctx.threads));
   };
@@ -447,6 +456,8 @@ AttackResponse dispatch_snmf(const SnmfRequest& req, const ExecContext& ctx,
     res.telemetry.counters["snmf.estimated_rank"] =
         static_cast<double>(options.rank);
   }
+  root.reset();
+  res.telemetry.absorb(rec.finish());
   return answered(std::move(res), AttackStatus::Ok);
 }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "obs/obs.hpp"
 #include "par/parallel.hpp"
@@ -18,15 +18,18 @@ namespace {
 constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
 
 // Packed-GEMM blocking. The micro-kernel computes an MR x NR tile of C from
-// panels packed k-major; MC/KC size the A block to L2 and the B panel rows
-// to L1 reuse, NC caps the packed-B footprint. Fixed for a given problem
-// size, so the block decomposition (and with it the floating-point
-// accumulation order) never depends on the thread count.
+// panels packed k-major. KC fixes the floating-point accumulation order:
+// each element of C sums its products in KC-long runs, each from 0.0, and
+// adds the runs in ascending order. MR, NR, MC and NC only size the tiles
+// and the packed blocks (an MC x KC block of A for L2, a KC x NC panel of
+// B, 512 KB, per concurrent task), so they move no bits.
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 8;
 constexpr std::size_t kMc = 96;
 constexpr std::size_t kKc = 256;
-constexpr std::size_t kNc = 2048;
+constexpr std::size_t kNc = 256;
+
+std::size_t ceil_div(std::size_t x, std::size_t y) { return (x + y - 1) / y; }
 
 std::size_t row_grain(std::size_t rows, std::size_t flops_per_row) {
   const std::size_t grain =
@@ -83,40 +86,45 @@ void gemm_naive(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b,
   }
 }
 
-/// Pack rows [i0, i0+mb) x [k0, k0+kb) of op(A) into MR-tall k-major panels:
-/// panel p holds logical rows i0 + p*MR .., element (r, k) at [k*MR + r].
-/// Short panels are zero-padded so the micro-kernel runs fixed-trip loops.
-void pack_a(ConstMatrixView a, Op opa, std::size_t i0, std::size_t mb,
-            std::size_t k0, std::size_t kb, double* ap) {
-  const std::size_t panels = (mb + kMr - 1) / kMr;
-  for (std::size_t p = 0; p < panels; ++p) {
-    double* dst = ap + p * kMr * kb;
-    const std::size_t base = i0 + p * kMr;
-    const std::size_t mr = std::min(kMr, i0 + mb - base);
-    for (std::size_t k = 0; k < kb; ++k) {
-      for (std::size_t r = 0; r < kMr; ++r) {
-        dst[k * kMr + r] =
-            r < mr ? op_at(a, opa, base + r, k0 + k) : 0.0;
+Op flip(Op op) { return op == Op::None ? Op::Transpose : Op::None; }
+
+/// Pack rows [k0, k0+kb) x cols [j0, j0+nb) of op(X) into W-wide k-major
+/// panels: panel q holds cols j0 + q*W .., element (k, j) at
+/// [(q*kb + k)*W + j], zero-padded on the right edge so the micro-kernel
+/// runs fixed-trip loops. B packs as op(B) with W = NR; A as op(A)^T with
+/// W = MR (panel p then holds rows i0 + p*MR .., element (r, k) at
+/// [(p*kb + k)*MR + r]). Either way X is read a row at a time.
+template <std::size_t W>
+void pack_panels(ConstMatrixView x, Op op, std::size_t k0, std::size_t kb,
+                 std::size_t j0, std::size_t nb, double* out) {
+  const std::size_t panels = ceil_div(nb, W);
+  if (op == Op::None) {
+    // Rows of op(X) are rows of X. A few rows at a time are split across
+    // the panels: the rows stay in L1 while each panel receives one
+    // contiguous run (row by row, the panel writes alias in the cache).
+    constexpr std::size_t kRows = 8;
+    for (std::size_t k1 = 0; k1 < kb; k1 += kRows) {
+      const std::size_t k2 = std::min(kb, k1 + kRows);
+      for (std::size_t q = 0; q < panels; ++q) {
+        const std::size_t w = std::min(W, nb - q * W);
+        for (std::size_t k = k1; k < k2; ++k) {
+          const double* src = x.row_ptr(k0 + k) + j0 + q * W;
+          double* dst = out + (q * kb + k) * W;
+          std::copy(src, src + w, dst);
+          std::fill(dst + w, dst + W, 0.0);
+        }
       }
     }
+    return;
   }
-}
-
-/// Pack rows [k0, k0+kb) x cols [j0, j0+nb) of op(B) into NR-wide k-major
-/// panels: panel q holds logical cols j0 + q*NR .., element (k, j) at
-/// [k*NR + j], zero-padded on the right edge.
-void pack_b(ConstMatrixView b, Op opb, std::size_t k0, std::size_t kb,
-            std::size_t j0, std::size_t nb, double* bp) {
-  const std::size_t panels = (nb + kNr - 1) / kNr;
-  for (std::size_t q = 0; q < panels; ++q) {
-    double* dst = bp + q * kNr * kb;
-    const std::size_t base = j0 + q * kNr;
-    const std::size_t nr = std::min(kNr, j0 + nb - base);
-    for (std::size_t k = 0; k < kb; ++k) {
-      for (std::size_t j = 0; j < kNr; ++j) {
-        dst[k * kNr + j] =
-            j < nr ? op_at(b, opb, k0 + k, base + j) : 0.0;
-      }
+  // Columns of op(X) are rows of X: each row fills one lane of a panel.
+  for (std::size_t j = 0; j < panels * W; ++j) {
+    double* dst = out + (j / W) * W * kb + j % W;
+    if (j < nb) {
+      const double* src = x.row_ptr(j0 + j) + k0;
+      for (std::size_t k = 0; k < kb; ++k) dst[k * W] = src[k];
+    } else {
+      for (std::size_t k = 0; k < kb; ++k) dst[k * W] = 0.0;
     }
   }
 }
@@ -158,52 +166,124 @@ void micro_kernel(std::size_t kb, const double* ap, const double* bp,
   }
 }
 
-/// Cache-blocked packed GEMM. Loop order jc -> kc -> ic: B panels are packed
-/// once per (jc, kc) and shared by every row block; row blocks fan out over
-/// the pool. Each C tile is owned by one task and the kc panels accumulate
-/// in serial outer-loop order, so results are thread-count invariant.
+/// Doubles of packing scratch gemm_tiles needs for an mb x nb range of C:
+/// one KC x NC panel of B and one MC x KC block of A, both rounded up to
+/// whole panels (pack_panels zero-pads the right edge, so nb = 300, NR = 8
+/// would otherwise overrun by (304 - 300) * kb doubles).
+std::size_t tile_scratch(std::size_t mb, std::size_t nb, std::size_t kdim) {
+  const std::size_t kb = std::min(kdim, kKc);
+  return kb * (std::min(ceil_div(nb, kNr) * kNr, kNc) +
+               std::min(ceil_div(mb, kMr) * kMr, kMc));
+}
+
+/// The tiles of C in rows [i0, i1) x cols [j0, j1), loop order jc -> kc ->
+/// ic: each B panel is packed once per (jc, kc) and shared by every row
+/// block of the range. Every element of C receives its KC panels in
+/// ascending order, each accumulated from 0.0 by the micro-kernel and added
+/// in, whatever range the element falls in — so any split of C into such
+/// ranges yields the same bits. `scratch` holds tile_scratch() doubles.
+void gemm_tiles(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b,
+                Op opb, MatrixView c, std::size_t i0, std::size_t i1,
+                std::size_t j0, std::size_t j1, double* scratch) {
+  const std::size_t kdim = op_cols(a, opa);
+  double* bpack = scratch;
+  double* apack = scratch + std::min(kdim, kKc) *
+                                std::min(ceil_div(j1 - j0, kNr) * kNr, kNc);
+  for (std::size_t jc = j0; jc < j1; jc += kNc) {
+    const std::size_t nb = std::min(kNc, j1 - jc);
+    const std::size_t b_panels = ceil_div(nb, kNr);
+    for (std::size_t kc = 0; kc < kdim; kc += kKc) {
+      const std::size_t kb = std::min(kKc, kdim - kc);
+      pack_panels<kNr>(b, opb, kc, kb, jc, nb, bpack);
+      for (std::size_t ic = i0; ic < i1; ic += kMc) {
+        const std::size_t mb = std::min(kMc, i1 - ic);
+        pack_panels<kMr>(a, flip(opa), kc, kb, ic, mb, apack);
+        const std::size_t a_panels = ceil_div(mb, kMr);
+        for (std::size_t q = 0; q < b_panels; ++q) {
+          const std::size_t col = jc + q * kNr;
+          const std::size_t nr = std::min(kNr, jc + nb - col);
+          const double* bq = bpack + q * kNr * kb;
+          for (std::size_t p = 0; p < a_panels; ++p) {
+            const std::size_t row = ic + p * kMr;
+            const std::size_t mr = std::min(kMr, ic + mb - row);
+            micro_kernel(kb, apack + p * kMr * kb, bq, alpha,
+                         c.row_ptr(row) + col, c.row_stride(), mr, nr);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Tasks of the parallel product: rectangles of whole MC row blocks x whole
+// NR column panels, spread evenly. Their number follows from the shape
+// alone — one task per kParallelFlopThreshold multiply-adds, at most
+// kMaxTasks — so an output with a single row block (ANLS's d x n
+// products, the range finder's Q^T A) still splits, over column panels.
+// Each task repacks the A rows or B columns it shares with others, which
+// is why there are few: on 4 cores, 8 tasks ran the range finder's
+// products as fast as 16 and faster than 64.
+constexpr std::size_t kMaxTasks = 8;
+
+struct TileSplit {
+  std::size_t row_blocks, row_tasks;
+  std::size_t panels, col_tasks;
+};
+
+TileSplit split_tiles(std::size_t m, std::size_t n, std::size_t kdim) {
+  const std::size_t tasks =
+      std::clamp<std::size_t>(m * n * kdim / kParallelFlopThreshold, 1,
+                              kMaxTasks);
+  // Rows first: a row split repacks only B, which the short-and-deep
+  // products never split this way anyway.
+  const std::size_t row_blocks = ceil_div(m, kMc);
+  const std::size_t row_tasks = std::min(row_blocks, tasks);
+  const std::size_t panels = ceil_div(n, kNr);
+  return {row_blocks, row_tasks, panels,
+          std::min(panels, ceil_div(tasks, row_tasks))};
+}
+
+/// Cache-blocked packed GEMM: one pool batch over the shape's tile split,
+/// or — when the product runs on one thread — all of C as a single tile
+/// range, with no pool call and each B panel packed once. The calling
+/// thread allocates every task's packing scratch: buffers allocated and
+/// freed on pool workers stay resident in their malloc arenas.
 void gemm_blocked(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b,
                   Op opb, MatrixView c, std::size_t threads) {
   const std::size_t m = c.rows();
   const std::size_t n = c.cols();
   const std::size_t kdim = op_cols(a, opa);
-  // pack_b zero-pads the right edge to a whole NR panel, so the buffer must
-  // round the column block up to a kNr multiple (nb = 300, kNr = 8 would
-  // otherwise overrun by (304 - 300) * kb doubles).
-  const std::size_t nc = std::min(n, kNc);
-  std::vector<double> bpack(kKc * ((nc + kNr - 1) / kNr) * kNr);
-  const std::size_t ic_blocks = (m + kMc - 1) / kMc;
-
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nb = std::min(kNc, n - jc);
-    for (std::size_t kc = 0; kc < kdim; kc += kKc) {
-      const std::size_t kb = std::min(kKc, kdim - kc);
-      pack_b(b, opb, kc, kb, jc, nb, bpack.data());
-      const std::size_t b_panels = (nb + kNr - 1) / kNr;
-
-      par::parallel_for(
-          0, ic_blocks, 1,
-          [&](std::size_t blk) {
-            const std::size_t i0 = blk * kMc;
-            const std::size_t mb = std::min(kMc, m - i0);
-            std::vector<double> apack(((mb + kMr - 1) / kMr) * kMr * kb);
-            pack_a(a, opa, i0, mb, kc, kb, apack.data());
-            for (std::size_t q = 0; q < b_panels; ++q) {
-              const std::size_t j0 = jc + q * kNr;
-              const std::size_t nr = std::min(kNr, jc + nb - j0);
-              const double* bq = bpack.data() + q * kNr * kb;
-              const std::size_t a_panels = (mb + kMr - 1) / kMr;
-              for (std::size_t p = 0; p < a_panels; ++p) {
-                const std::size_t r0 = i0 + p * kMr;
-                const std::size_t mr = std::min(kMr, i0 + mb - r0);
-                micro_kernel(kb, apack.data() + p * kMr * kb, bq, alpha,
-                             c.row_ptr(r0) + j0, c.row_stride(), mr, nr);
-              }
-            }
-          },
-          threads);
-    }
+  const TileSplit split = split_tiles(m, n, kdim);
+  const std::size_t tasks = split.row_tasks * split.col_tasks;
+  const std::size_t width = threads == 0 ? par::default_threads() : threads;
+  if (tasks == 1 || width == 1 || par::ThreadPool::in_parallel_region()) {
+    const auto scratch =
+        std::make_unique_for_overwrite<double[]>(tile_scratch(m, n, kdim));
+    gemm_tiles(alpha, a, opa, b, opb, c, 0, m, 0, n, scratch.get());
+    return;
   }
+  const auto edge = [](std::size_t units, std::size_t parts, std::size_t i,
+                       std::size_t unit, std::size_t limit) {
+    return std::min(limit, i * units / parts * unit);
+  };
+  // Each task's range is at most this big, so its scratch fits the slot.
+  const std::size_t slot = tile_scratch(
+      ceil_div(split.row_blocks, split.row_tasks) * kMc,
+      ceil_div(split.panels, split.col_tasks) * kNr, kdim);
+  const auto scratch = std::make_unique_for_overwrite<double[]>(tasks * slot);
+  par::parallel_for(
+      0, tasks, 1,
+      [&](std::size_t t) {
+        const std::size_t r = t / split.col_tasks;
+        const std::size_t q = t % split.col_tasks;
+        gemm_tiles(alpha, a, opa, b, opb, c,
+                   edge(split.row_blocks, split.row_tasks, r, kMc, m),
+                   edge(split.row_blocks, split.row_tasks, r + 1, kMc, m),
+                   edge(split.panels, split.col_tasks, q, kNr, n),
+                   edge(split.panels, split.col_tasks, q + 1, kNr, n),
+                   scratch.get() + t * slot);
+      },
+      threads);
 }
 
 }  // namespace

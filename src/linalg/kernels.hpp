@@ -6,10 +6,10 @@
 // transposition is an `Op` flag and sub-blocks are strides — never copies.
 //
 // Determinism contract (same as aspe::par): for a fixed problem size the
-// result is bit-identical at any thread count. gemm achieves this with a
-// fixed block decomposition — each output tile is accumulated by exactly one
-// task, and the k-panel order is a serial outer loop — so only the wall
-// clock moves with the thread count.
+// result is bit-identical at any thread count. In gemm each output tile is
+// accumulated by exactly one task, k panel after k panel in ascending order,
+// and the task split follows from the shapes alone — so only the wall clock
+// moves with the thread count.
 //
 // Aliasing: input views may alias each other (gemm(A, A) is how gram works);
 // output views must not alias any input.
@@ -41,7 +41,8 @@ void gemv(double alpha, ConstMatrixView a, Op opa, ConstVecView x, double beta,
 ///
 /// Large products run a cache-blocked packed kernel: A and B panels are
 /// packed into contiguous tiles and multiplied by an MR x NR register
-/// micro-kernel, parallel over row blocks of C. Small products use the
+/// micro-kernel, parallel over row blocks and column panels of C (one
+/// pool batch a call; none on one thread). Small products use the
 /// plain i-k-j loop (identical to the pre-view implementation, so small
 /// fixtures keep bit-identical results).
 void gemm(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b, Op opb,

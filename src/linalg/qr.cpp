@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "linalg/kernels.hpp"
 
@@ -20,18 +21,27 @@ void QrDecomposition::factor() {
   tau_.assign(n, 0.0);
   const std::size_t nb = std::max<std::size_t>(1, options_.block);
 
+  // s[j]: the reflector's product with panel column k + 1 + j, later its
+  // negated update multiplier.
+  std::vector<double> s(nb);
   Matrix v_panel, t_panel, work;
   for (std::size_t k0 = 0; k0 < n; k0 += nb) {
     const std::size_t kb = std::min(nb, n - k0);
 
-    // Panel factorization: the classic unblocked loop restricted to columns
-    // [k0, k0 + kb). Within the panel, trailing columns are updated
-    // per-column — identical arithmetic to the unblocked algorithm, so a
-    // single-panel matrix (n <= block) reproduces it bit-for-bit.
+    // Panel factorization, one reflector at a time. The row-major storage
+    // is walked by rows: one pass forms v and its products with every
+    // remaining panel column, a second applies the updates. Each product
+    // starts at 0.0 and runs in ascending row order, as dot() does, and
+    // each update is axpy()'s; see docs/linalg.md for why these loops must
+    // stay out of the multiversioned (FMA) code.
     for (std::size_t k = k0; k < k0 + kb; ++k) {
-      // Householder vector for column k below row k (a strided panel view).
-      const VecView panel_k = qr_.col_view(k).subvec(k, m - k);
-      const double norm = std::sqrt(dot(panel_k, panel_k));
+      // Householder vector for column k below row k.
+      double norm2 = 0.0;
+      for (std::size_t i = k; i < m; ++i) {
+        const double x = qr_(i, k);
+        norm2 += x * x;
+      }
+      const double norm = std::sqrt(norm2);
       if (norm == 0.0) {
         tau_[k] = 0.0;  // zero column; R_kk = 0 marks rank deficiency
         continue;
@@ -40,16 +50,40 @@ void QrDecomposition::factor() {
       // v = x - alpha e1 (stored in place, normalized so v[0] = 1).
       const double v0 = qr_(k, k) - alpha;
       qr_(k, k) = alpha;
-      const VecView v = qr_.col_view(k).subvec(k + 1, m - k - 1);
-      for (std::size_t i = 0; i < v.size(); ++i) v[i] /= v0;
-      tau_[k] = -v0 / alpha;  // beta = 2 / (v^T v) expressed via v0 and alpha
+      const double tau = -v0 / alpha;  // beta = 2 / (v^T v) via v0, alpha
+      tau_[k] = tau;
 
-      // Apply H = I - tau v v^T to the remaining columns of the panel.
-      for (std::size_t j = k + 1; j < k0 + kb; ++j) {
-        const VecView cj = qr_.col_view(j).subvec(k + 1, m - k - 1);
-        double s = tau_[k] * (qr_(k, j) + dot(v, cj));
-        qr_(k, j) -= s;
-        axpy(-s, v, cj);
+      // Apply H = I - tau v v^T to the remaining columns of the panel:
+      // s_j = tau (a_kj + v^T c_j), a_kj -= s_j, c_j -= s_j v.
+      const std::size_t w = k0 + kb - k - 1;
+      std::fill(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(w), 0.0);
+      for (std::size_t i = k + 1; i < m; ++i) {
+        double* row = qr_.row_ptr(i) + k;
+        const double vi = row[0] /= v0;
+        for (std::size_t j = 0; j < w; ++j) s[j] += vi * row[1 + j];
+      }
+      double* row_k = qr_.row_ptr(k) + k + 1;
+      for (std::size_t j = 0; j < w; ++j) {
+        const double sj = tau * (row_k[j] + s[j]);
+        row_k[j] -= sj;
+        s[j] = -sj;
+      }
+      // axpy skips a zero multiplier, and adding a zero product is not
+      // always a no-op (-0.0 + 0.0 = +0.0), so runs of nonzero
+      // multipliers are applied and zero ones skipped.
+      for (std::size_t j0 = 0; j0 < w;) {
+        if (s[j0] == 0.0) {
+          ++j0;
+          continue;
+        }
+        std::size_t j1 = j0 + 1;
+        while (j1 < w && s[j1] != 0.0) ++j1;
+        for (std::size_t i = k + 1; i < m; ++i) {
+          double* row = qr_.row_ptr(i) + k;
+          const double vi = row[0];
+          for (std::size_t j = j0; j < j1; ++j) row[1 + j] += s[j] * vi;
+        }
+        j0 = j1;
       }
     }
 
@@ -76,29 +110,58 @@ void QrDecomposition::build_panel(std::size_t k0, std::size_t kb, Matrix& v,
   const std::size_t mk = qr_.rows() - k0;
   // V: unit diagonal, Householder tails below, zeros above.
   v = Matrix(mk, kb, 0.0);
-  for (std::size_t j = 0; j < kb; ++j) {
-    v(j, j) = 1.0;
-    for (std::size_t i = j + 1; i < mk; ++i) {
-      v(i, j) = qr_(k0 + i, k0 + j);
+  for (std::size_t i = 0; i < mk; ++i) {
+    const double* src = qr_.row_ptr(k0 + i) + k0;
+    std::copy(src, src + std::min(i, kb), v.row_ptr(i));
+    if (i < kb) v(i, i) = 1.0;
+  }
+  // y(j, c) = V(j:, c)^T v_j for c < j (columns overlap only from row j
+  // down), all formed in one pass down the rows; each sum starts at 0.0 at
+  // row j and runs in ascending row order, as dot() does.
+  Matrix y(kb, kb, 0.0);
+  const auto add_row = [&](std::size_t i) {
+    const double* vi = v.row_ptr(i);
+    for (std::size_t j = 1; j <= std::min(i, kb - 1); ++j) {
+      const double vij = vi[j];
+      double* yj = y.row_ptr(j);
+      for (std::size_t c = 0; c < j; ++c) yj[c] += vi[c] * vij;
+    }
+  };
+  std::size_t i = 1;
+  for (; i < std::min(kb, mk); ++i) add_row(i);
+  // Below the diagonal block every row feeds every sum: four rows at a
+  // time, still adding their terms one by one in row order.
+  for (; i + 4 <= mk; i += 4) {
+    const double* v0 = v.row_ptr(i);
+    const double* v1 = v.row_ptr(i + 1);
+    const double* v2 = v.row_ptr(i + 2);
+    const double* v3 = v.row_ptr(i + 3);
+    for (std::size_t j = 1; j < kb; ++j) {
+      const double a0 = v0[j], a1 = v1[j], a2 = v2[j], a3 = v3[j];
+      double* yj = y.row_ptr(j);
+      for (std::size_t c = 0; c < j; ++c) {
+        double sum = yj[c];
+        sum += v0[c] * a0;
+        sum += v1[c] * a1;
+        sum += v2[c] * a2;
+        sum += v3[c] * a3;
+        yj[c] = sum;
+      }
     }
   }
+  for (; i < mk; ++i) add_row(i);
   // T: forward accumulation of the triangular WY factor,
   //   T_j = [ T_{j-1}  -tau_j T_{j-1} (V_{j-1}^T v_j) ]
   //         [    0                tau_j               ]
   // A tau of zero (zero column) makes H_j = I and the whole column of T
   // zero, which the recurrence produces naturally.
   t = Matrix(kb, kb, 0.0);
-  Vec y(kb);
   for (std::size_t j = 0; j < kb; ++j) {
     const double tau = tau_[k0 + j];
-    // y = V(:, 0..j)^T v_j; columns overlap only from row j down.
-    for (std::size_t c = 0; c < j; ++c) {
-      y[c] = dot(v.cview().col(c).subvec(j, mk - j),
-                 v.cview().col(j).subvec(j, mk - j));
-    }
+    const double* yj = y.row_ptr(j);
     for (std::size_t rr = 0; rr < j; ++rr) {
       double s = 0.0;
-      for (std::size_t c = rr; c < j; ++c) s += t(rr, c) * y[c];
+      for (std::size_t c = rr; c < j; ++c) s += t(rr, c) * yj[c];
       t(rr, j) = -tau * s;
     }
     t(j, j) = tau;

@@ -7,11 +7,12 @@
 // thin) and R upper triangular (n x n).
 //
 // The factorization is blocked: each panel of `QrOptions::block` columns is
-// factored with the classic per-column Householder loop, then the trailing
-// columns are updated at once through the compact-WY representation
-// Q_panel = I - V T V^T — two gemm calls through the shared kernel layer
-// instead of one rank-1 update per column. A matrix with cols <= block runs
-// the unblocked arithmetic unchanged (bit-for-bit the pre-blocked result).
+// factored one Householder reflector at a time, in passes down the rows of
+// the row-major storage, then the trailing columns are updated at once
+// through the compact-WY representation Q_panel = I - V T V^T — gemm calls
+// through the shared kernel layer instead of one rank-1 update per column.
+// A matrix with cols <= block runs the unblocked arithmetic unchanged
+// (bit-for-bit the pre-blocked result).
 #pragma once
 
 #include "linalg/matrix.hpp"

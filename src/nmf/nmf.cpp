@@ -111,6 +111,7 @@ struct NnlsBatchStats {
 void update_h_anls(const Matrix& r, const Matrix& w, Matrix& h, double lambda,
                    std::size_t threads, std::vector<NnlsWorkspace>& ws,
                    bool warm, NnlsBatchStats& stats) {
+  obs::Span span("nmf/update_h");
   const std::size_t d = w.rows();
   Matrix g = gram_rows(w, threads);
   for (auto& x : g.data()) x += lambda;
@@ -140,6 +141,7 @@ void update_h_anls(const Matrix& r, const Matrix& w, Matrix& h, double lambda,
 void update_w_anls(const Matrix& r, Matrix& w, const Matrix& h, double eta,
                    std::size_t threads, std::vector<NnlsWorkspace>& ws,
                    bool warm, NnlsBatchStats& stats, Matrix& f_w) {
+  obs::Span span("nmf/update_w");
   const std::size_t d = h.rows();
   Matrix g = gram_rows(h, threads);
   for (std::size_t k = 0; k < d; ++k) g(k, k) += eta + 1e-10;

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <vector>
 
+#include "bit_digest.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
@@ -261,6 +263,63 @@ TEST(Gemm, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(std::memcmp(c1.data().data(), c8.data().data(),
                         c1.data().size() * sizeof(double)),
             0);
+}
+
+TEST(Gemm, ShortOutputPinnedBitwise) {
+  // The SNMF pipeline's product shapes, scaled down, with N and K edges that
+  // are not multiples of NR = 8 or KC = 256: ANLS's F = W R and H R^T, the
+  // range finder's Q^T A, the QR trailing update's V^T C and its
+  // C -= V W into a sub-block, and a wide product past NC = 2048 columns.
+  // Digests recorded at commit 3eb8847; a change meant to keep answers must
+  // keep them at every thread count.
+  struct Case {
+    const char* name;
+    std::size_t a_rows, a_cols;
+    Op opa;
+    std::size_t b_rows, b_cols;
+    Op opb;
+    double alpha, beta;
+    std::uint64_t baseline, avx512;
+  };
+  const Case cases[] = {
+      {"w_r", 12, 1030, Op::None, 1030, 203, Op::None, 1.0, 0.0,
+       0xb4d7da7d438b336bull, 0x3d3974407b2398a6ull},
+      {"h_rt", 12, 203, Op::None, 1030, 203, Op::Transpose, 1.0, 0.0,
+       0xb38d93bf4e3a7c2cull, 0x1e7bf136b1c7a260ull},
+      {"qt_a", 1030, 40, Op::Transpose, 1030, 203, Op::None, 1.0, 0.0,
+       0x1589a0fc91cea7b3ull, 0x12e9ff7a5bb3512ull},
+      {"vt_c", 1030, 32, Op::Transpose, 1030, 13, Op::None, 1.0, 0.0,
+       0x8e61277371bcaeacull, 0x5b1ba488df7ab186ull},
+      {"c_minus_vw", 1030, 32, Op::None, 32, 13, Op::None, -1.0, 1.0,
+       0x1761e7a9c03734b9ull, 0xb5e517c3813da5bull},
+      {"wide", 12, 300, Op::None, 300, 2100, Op::None, 0.5, 0.0,
+       0x4f953742925ed745ull, 0x4e41d1dff0545d9bull},
+  };
+  for (const Case& cs : cases) {
+    rng::Rng rng(2017);
+    const Matrix a = random_rect(cs.a_rows, cs.a_cols, rng);
+    const Matrix b = random_rect(cs.b_rows, cs.b_cols, rng);
+    const std::size_t m = op_rows(a.cview(), cs.opa);
+    const std::size_t n = op_cols(b.cview(), cs.opb);
+    // The output is a sub-block of a larger matrix, as in the QR update.
+    const Matrix c0 = random_rect(m + 3, n + 5, rng);
+    std::optional<std::uint64_t> first;
+    for (const std::size_t threads : {1, 2, 4, 8}) {
+      Matrix c = c0;
+      gemm(cs.alpha, a.cview(), cs.opa, b.cview(), cs.opb, cs.beta,
+           c.view().block(2, 3, m, n), threads);
+      pinning::Fnv1a digest;
+      digest.add(c);
+      if (!first) first = digest.h;
+      EXPECT_EQ(digest.h, *first) << cs.name << " threads " << threads;
+      if (const auto pin = pinning::pinned_for_gemm_clone(cs.baseline,
+                                                          cs.avx512)) {
+        EXPECT_EQ(digest.h, *pin)
+            << cs.name << " threads " << threads << " digest 0x" << std::hex
+            << digest.h;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- gemv / gram

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 
+#include "bit_digest.hpp"
 #include "core/snmf_attack.hpp"
 #include "linalg/vector_ops.hpp"
 #include "rng/rng.hpp"
@@ -227,20 +227,6 @@ TEST(Nnls, WorkspaceSanitizedOnProblemSizeChange) {
   for (std::size_t j = 0; j < 7; ++j) EXPECT_EQ(x7[j], cold[j]);
 }
 
-
-/// FNV-1a over 64-bit words, fed the bit patterns of doubles so that a
-/// single flipped ulp anywhere changes the digest.
-struct Fnv1a {
-  std::uint64_t h = 14695981039346656037ull;
-  void add(std::uint64_t word) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (word >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-};
-
 TEST(Nnls, PaperCellSelectionPinnedBitwise) {
   // One Table III cell (d = 24, m = n = 48, rho = 0.35, L = 3 restarts of
   // 250 ANLS iterations) driven through the restart sweep. ANLS is 72,000
@@ -273,7 +259,7 @@ TEST(Nnls, PaperCellSelectionPinnedBitwise) {
     const core::ExecContext ctx{.threads = threads, .seed = 91};
     const core::SnmfSelection sel = core::run_snmf_restarts(
         scores, opt, core::draw_snmf_inits(scores, opt, ctx), ctx);
-    Fnv1a digest;
+    pinning::Fnv1a digest;
     for (double v : sel.factorization.w.data()) digest.add(v);
     for (double v : sel.factorization.h.data()) digest.add(v);
     digest.add(sel.factorization.objective);

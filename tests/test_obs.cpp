@@ -4,10 +4,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/attack_api.hpp"
 #include "core/lep.hpp"
 #include "core/mip_attack.hpp"
 #include "core/snmf_attack.hpp"
@@ -16,6 +18,7 @@
 #include "obs/sinks.hpp"
 #include "par/thread_pool.hpp"
 #include "rng/rng.hpp"
+#include "scheme/split_encryptor.hpp"
 #include "sse/system.hpp"
 
 namespace aspe {
@@ -418,27 +421,35 @@ TEST(Obs, MipStatusReflectsHowTheAnswerWasProduced) {
 TEST(Obs, RootSpanCoversNearlyAllAttackWallTime) {
   // The acceptance bar for --trace-json: the span tree accounts for >= 90%
   // of each attack's wall time. The root span alone must already do so.
-  const auto check = [](const core::AttackTelemetry& telemetry,
-                        const MemorySink& sink, const char* root_name) {
-    const auto* root = find_span(sink.spans(), root_name);
-    ASSERT_NE(root, nullptr) << root_name;
-    const double root_seconds =
-        static_cast<double>(root->end_ns - root->start_ns) * 1e-9;
-    EXPECT_GE(root_seconds, 0.9 * telemetry.wall_seconds) << root_name;
-    EXPECT_EQ(root->parent, 0u) << root_name;
+  // Both sides are summed over several runs, and the LEP attack runs at
+  // d = 64, so that one preemption between the attack's stopwatch and its
+  // root span cannot decide a ratio of millisecond figures.
+  const auto check = [](const auto& attack, const char* root_name) {
+    constexpr int kRuns = 5;
+    double root_seconds = 0.0;
+    double wall_seconds = 0.0;
+    for (int run = 0; run < kRuns; ++run) {
+      MemorySink sink;
+      core::ExecContext ctx{.seed = 33};
+      ctx.sink = &sink;
+      wall_seconds += attack(ctx).wall_seconds;
+      const auto* root = find_span(sink.spans(), root_name);
+      ASSERT_NE(root, nullptr) << root_name;
+      EXPECT_EQ(root->parent, 0u) << root_name;
+      root_seconds += static_cast<double>(root->end_ns - root->start_ns) * 1e-9;
+    }
+    EXPECT_GE(root_seconds, 0.9 * wall_seconds) << root_name;
   };
 
   {
-    const std::size_t d = 8;
+    const std::size_t d = 64;
     scheme::Scheme2Options opt;
     opt.record_dim = d;
     sse::SecureKnnSystem system(opt, 21);
     const auto view = make_lep_view(system, d, 22);
-    MemorySink sink;
-    core::ExecContext ctx;
-    ctx.sink = &sink;
-    const auto res = core::run_lep_attack(view, {}, ctx);
-    check(res.telemetry, sink, "lep/attack");
+    check([&](const core::ExecContext& ctx) {
+      return core::run_lep_attack(view, {}, ctx).telemetry;
+    }, "lep/attack");
   }
   {
     const auto scores = make_snmf_scores(6, 31);
@@ -446,11 +457,9 @@ TEST(Obs, RootSpanCoversNearlyAllAttackWallTime) {
     opt.rank = 6;
     opt.restarts = 2;
     opt.nmf.max_iterations = 30;
-    MemorySink sink;
-    core::ExecContext ctx{.seed = 33};
-    ctx.sink = &sink;
-    const auto res = core::run_snmf_attack(scores, opt, ctx);
-    check(res.telemetry, sink, "snmf/attack");
+    check([&](const core::ExecContext& ctx) {
+      return core::run_snmf_attack(scores, opt, ctx).telemetry;
+    }, "snmf/attack");
   }
   {
     const std::size_t d = 10, m = 10;
@@ -458,12 +467,67 @@ TEST(Obs, RootSpanCoversNearlyAllAttackWallTime) {
     opt.vocab_dim = d;
     sse::RankedSearchSystem system(opt, 41);
     const auto view = make_mip_view(system, d, m, 42);
-    MemorySink sink;
-    core::ExecContext ctx;
-    ctx.sink = &sink;
-    const auto res = core::run_mip_attack(view, 0, opt.mu, opt.sigma, {}, ctx);
-    check(res.telemetry, sink, "mip/attack");
+    check([&](const core::ExecContext& ctx) {
+      return core::run_mip_attack(view, 0, opt.mu, opt.sigma, {}, ctx)
+          .telemetry;
+    }, "mip/attack");
   }
+}
+
+TEST(Obs, SnmfDispatchRecordsOneTreeWithRankAndAnlsSpans) {
+  // A cold SNMF dispatch with the rank estimated: the score build, the
+  // truncated-SVD rank estimate and the ANLS half-steps all land in the
+  // job's one recording, as one tree under its "snmf/attack" root.
+  const std::size_t d = 8;
+  rng::Rng rng(51);
+  scheme::SplitEncryptor enc(d, rng);
+  std::vector<scheme::CipherPair> db, trapdoors;
+  for (std::size_t i = 0; i < 200; ++i) {
+    db.push_back(enc.encrypt_index(to_real(rng.binary_bernoulli(d, 0.3)), rng));
+  }
+  for (std::size_t j = 0; j < 160; ++j) {
+    trapdoors.push_back(
+        enc.encrypt_trapdoor(to_real(rng.binary_bernoulli(d, 0.3)), rng));
+  }
+  core::SnmfRequest req;
+  req.db = core::CorpusRef::inline_ciphers(std::move(db));
+  req.trapdoors = core::CorpusRef::inline_ciphers(std::move(trapdoors));
+  req.options.restarts = 1;
+  req.options.nmf.max_iterations = 3;
+  MemorySink sink;
+  core::ExecContext ctx{.seed = 7};
+  ctx.sink = &sink;
+  const core::AttackResponse resp =
+      core::dispatch_attack(core::AttackRequest{req}, ctx);
+  ASSERT_TRUE(resp.ok()) << resp.message;
+  EXPECT_GT(resp.telemetry.counter("snmf.estimated_rank"), 0.0);
+
+  const auto& spans = sink.spans();
+  std::map<std::uint64_t, const SpanRecord*> by_id;
+  std::size_t roots = 0;
+  for (const auto& s : spans) {
+    by_id[s.id] = &s;
+    roots += s.parent == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(roots, 1u);
+  const auto* root = find_span(spans, "snmf/attack");
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->parent, 0u);
+  for (const auto& s : spans) {
+    const SpanRecord* up = &s;
+    while (up->parent != 0 && by_id.count(up->parent) > 0) {
+      up = by_id.at(up->parent);
+    }
+    EXPECT_EQ(up, root) << s.name << " is not under the root";
+  }
+  for (const char* name : {"snmf/score_matrix", "svd/truncated",
+                           "nmf/update_h", "nmf/update_w"}) {
+    EXPECT_NE(find_span(spans, name), nullptr) << name;
+  }
+  // The recording covers the whole job, but wall_seconds stays the
+  // attack's own time, a part of the root span.
+  EXPECT_LE(resp.telemetry.wall_seconds,
+            static_cast<double>(root->end_ns - root->start_ns) * 1e-9);
 }
 
 TEST(Obs, AbsorbMergesRecordedCountersIntoTelemetry) {

@@ -17,7 +17,10 @@
 #include "core/snmf_attack.hpp"
 #include "data/queries.hpp"
 #include "data/quest.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
+#include "obs/obs.hpp"
+#include "obs/sinks.hpp"
 #include "rng/rng.hpp"
 #include "scheme/split_encryptor.hpp"
 #include "sse/system.hpp"
@@ -133,6 +136,36 @@ TEST(Par, MatrixProductBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(serial(i, j), threaded(i, j)) << i << "," << j;
     }
   }
+}
+
+TEST(Par, GemmRunsFullWidthAfterSingleThreadedCall) {
+  // A process that first runs 1-thread products must still get the full
+  // width later: the pool keeps no width from its first use. The product
+  // has a single row block of C (the ANLS F = W R shape), so only the
+  // column split of gemm's tiles can spread it.
+  rng::Rng rng(23);
+  linalg::Matrix w(12, 2000), r(2000, 400);
+  for (auto& x : w.data()) x = rng.uniform(0, 1);
+  for (auto& x : r.data()) x = rng.uniform(0, 1);
+  linalg::Matrix f1(12, 400), f4(12, 400);
+
+  const auto recorded_gemm = [&](linalg::Matrix& f, std::size_t threads) {
+    obs::MemorySink sink;
+    obs::ScopedRecording rec(&sink);
+    linalg::gemm(1.0, w.cview(), linalg::Op::None, r.cview(),
+                 linalg::Op::None, 0.0, f.view(), threads);
+    return rec.finish();
+  };
+  const obs::Summary one = recorded_gemm(f1, 1);
+  EXPECT_EQ(one.counters.count("par.batches"), 0u);  // no pool call at all
+  EXPECT_EQ(one.counters.count("par.serial_batches"), 0u);
+
+  const obs::Summary four = recorded_gemm(f4, 4);
+  ASSERT_EQ(four.gauges.count("par.width"), 1u);
+  EXPECT_EQ(four.gauges.at("par.width"), 4.0);
+  EXPECT_EQ(four.counters.at("par.batches"), 1.0);  // one batch per call
+  EXPECT_EQ(four.counters.count("par.serial_batches"), 0u);
+  EXPECT_EQ(f1.data(), f4.data());
 }
 
 // ------------------------------------------------------ attack determinism

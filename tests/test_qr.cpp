@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "bit_digest.hpp"
 #include "linalg/random_matrix.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/vector_ops.hpp"
@@ -159,6 +162,43 @@ TEST(Qr, ThinQConsistentWithApplyQt) {
     double acc = 0.0;
     for (std::size_t i = 0; i < 18; ++i) acc += q(i, j) * b[i];
     EXPECT_NEAR(acc, qtb[j], 1e-10) << j;
+  }
+}
+
+TEST(Qr, TallSkinnyThinQPinnedBitwise) {
+  // The range finder's shape (8000 x 40, one 32-column panel, its trailing
+  // update and an 8-column panel) and svc-open's 1000 x 40. R, thin_q and
+  // apply_qt (which reads the stored Householder vectors and taus) are
+  // digested together. Recorded at commit 3eb8847; a change meant to keep
+  // answers must keep them at every thread count.
+  struct Case {
+    std::size_t rows;
+    std::uint64_t baseline, avx512;
+  };
+  const Case cases[] = {{8000, 0x045268f30b04b6a6ull, 0x2e75c89f2cd3d6e5ull},
+                        {1000, 0xb004a61985a6a806ull, 0x6ba537e2bfe94083ull}};
+  for (const Case& cs : cases) {
+    rng::Rng rng(cs.rows);
+    Matrix a(cs.rows, 40);
+    for (auto& x : a.data()) x = rng.uniform(-1.0, 1.0);
+    const Vec b = rng.uniform_vec(cs.rows, -1.0, 1.0);
+    std::optional<std::uint64_t> first;
+    for (const std::size_t threads : {1, 4}) {
+      QrOptions options;
+      options.threads = threads;
+      const QrDecomposition qr(a, options);
+      pinning::Fnv1a digest;
+      digest.add(qr.r());
+      digest.add(qr.thin_q());
+      for (double v : qr.apply_qt(b)) digest.add(v);
+      if (!first) first = digest.h;
+      EXPECT_EQ(digest.h, *first) << cs.rows << " rows, threads " << threads;
+      if (const auto pin =
+              pinning::pinned_for_gemm_clone(cs.baseline, cs.avx512)) {
+        EXPECT_EQ(digest.h, *pin) << cs.rows << " rows, threads " << threads
+                                  << " digest 0x" << std::hex << digest.h;
+      }
+    }
   }
 }
 

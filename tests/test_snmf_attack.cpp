@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "bit_digest.hpp"
 #include "core/metrics.hpp"
 #include "rng/rng.hpp"
 #include "scheme/mkfse.hpp"
@@ -224,6 +227,41 @@ TEST(SnmfAttack, Validation) {
   opt.restarts = 0;
   EXPECT_THROW(run_snmf_attack(linalg::Matrix(2, 2, 1.0), opt),
                InvalidArgument);
+}
+
+TEST(SnmfAttack, CoaBulkShapePinnedBitwise) {
+  // One coa-bulk-shaped job: d = 12, 4000 indexes x 400 trapdoors, the rank
+  // estimated by the truncated SVD, L = 1, 5 ANLS iterations. The score
+  // GEMM, the range finder's GEMMs and QRs and ANLS's F products all run
+  // the blocked kernels here. Recorded at commit 3eb8847.
+  const Scenario s = make_scenario(12, 4000, 400, 0.25, 0.25, 4000);
+  const linalg::Matrix scores =
+      build_score_matrix(s.view.cipher_indexes, s.view.cipher_trapdoors, 1);
+  SnmfAttackOptions opt;
+  opt.restarts = 1;
+  opt.nmf.max_iterations = 5;
+  std::optional<std::uint64_t> first;
+  for (const std::size_t threads : {1, 4}) {
+    const ExecContext ctx{.threads = threads, .seed = 5};
+    opt.rank = estimate_latent_dimension(scores, opt.rank_tol, ctx);
+    const SnmfAttackResult res = run_snmf_attack(scores, opt, ctx);
+    pinning::Fnv1a digest;
+    digest.add(std::uint64_t{opt.rank});
+    for (const BitVec& bits : res.indexes) {
+      for (const auto bit : bits) digest.add(std::uint64_t{bit});
+    }
+    for (const BitVec& bits : res.trapdoors) {
+      for (const auto bit : bits) digest.add(std::uint64_t{bit});
+    }
+    digest.add(res.best_fit_error);
+    if (!first) first = digest.h;
+    EXPECT_EQ(digest.h, *first) << "threads " << threads;
+    if (const auto pin = pinning::pinned_for_gemm_clone(
+            0x42b6777bf68d5a52ull, 0x531be6ab394b39f7ull)) {
+      EXPECT_EQ(digest.h, *pin)
+          << "threads " << threads << " digest 0x" << std::hex << digest.h;
+    }
+  }
 }
 
 }  // namespace

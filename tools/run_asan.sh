@@ -31,14 +31,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "WarmStart|SimplexStress|Simplex\.|Mip|Lu\."
 
 # Third pre-pass over the truncated-SVD / warm-NNLS path: blocked QR panels,
-# workspace Cholesky up/downdates and per-column factor buffers are raw-
-# pointer code. The NNLS factor refresh and triangular solves read the
-# factor and Gram rows through bare row pointers with no view bounds checks,
-# so this pass is their only bounds check; `Nnls\.` includes the Table III
-# bit pin (Nnls.PaperCellSelectionPinnedBitwise), which drives them through
-# 72,000 warm solves. The suites run in a few seconds.
+# the packed GEMM's tile ranges, workspace Cholesky up/downdates and
+# per-column factor buffers are raw-pointer code. The QR row loops, the
+# GEMM packing, the NNLS factor refresh and triangular solves read through
+# bare row pointers with no view bounds checks, so this pass is their only
+# bounds check. `Nnls\.` includes the Table III bit pin
+# (Nnls.PaperCellSelectionPinnedBitwise), which drives the NNLS code through
+# 72,000 warm solves; `Gemm\.` and `Qr\.` include the pins of the
+# clone-free baseline kernel. The suites run in a few seconds.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "Svd\.|Nnls\.|Qr\."
+  -R "Svd\.|Nnls\.|Qr\.|Gemm\."
 
 # Fourth pre-pass over the io::v2 / mmap layer: envelope decoding walks
 # attacker-controlled offsets, the mutation tests feed deliberately

@@ -302,6 +302,9 @@ int main(int argc, char** argv) {
   out << "  \"incremental_seconds_pipeline_n2048\": "
       << headline_incremental_seconds << ",\n";
   out << "  \"lep_warm_resolve_speedup\": " << lep_speedup << ",\n";
+  // Both sides of the LEP ratio, gated on their own like the SNMF pair.
+  out << "  \"lep_batch_seconds\": " << batch_seconds << ",\n";
+  out << "  \"lep_warm_seconds\": " << warm_seconds << ",\n";
   out << "  \"score_matrix_bitwise_equal\": "
       << (all_bitwise ? "true" : "false") << ",\n";
   out << "  \"lep_outputs_bitwise_equal\": "

@@ -4,13 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
-#include <tuple>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/obs.hpp"
 #include "opt/simplex.hpp"
-#include "par/parallel.hpp"
 
 namespace aspe::core {
 
@@ -124,74 +122,216 @@ struct RtFit {
   double violation = 0.0;
 };
 
-/// With Q fixed, constraint i pins  that in
-/// [rhat*c_i - a_i - (mu + l sigma), rhat*c_i - a_i - (mu - l sigma)].
-/// g(rhat) = min_i hi_i - max_i lo_i (clipped by the that bounds) is concave
-/// piecewise-linear in rhat; maximize it by ternary search.
-RtFit fit_rt(const Vec& c, const Vec& a, double mu, double lsigma) {
-  const auto gap = [&](double rhat, double* mid) {
-    double hi = kThatMax;
-    double lo = kThatMin;
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      const double center = rhat * c[i] - a[i] - mu;
-      hi = std::min(hi, center + lsigma);
-      lo = std::max(lo, center - lsigma);
+/// Cap on a fit's ternary-search iterations.
+constexpr int kFitIterations = 200;
+
+/// The primal heuristic's per-job constants and its two probe kernels.
+///
+/// Every step of the heuristic scores many candidate queries at once: the d
+/// single-bit flips of the current point (polish, grow, repair) or the d
+/// prefixes of the root ordering. A candidate enters a kernel as one *lane*
+/// of a row-major m x lanes matrix A of inner products a_i = P_i . Q, and
+/// each kernel answers every lane in one pass over the rows, with one
+/// accumulator per lane. A lane runs exactly the arithmetic of evaluating
+/// its candidate alone: the same operations in the same order, every sum
+/// started at 0.0 and taken in ascending row order, divisions kept as
+/// divisions. The a_i are exact small integers. So each answer is bit for
+/// bit that of a one-candidate evaluation, and no lane depends on which
+/// other lanes share its batch. These loops must not be reassociated nor
+/// built as FMA clones (no target_clones), which would round differently.
+class ProbeKernel {
+ public:
+  /// `fit_iterations` counts each lane's ternary-search iterations.
+  ProbeKernel(const std::vector<sse::KnownBinaryPair>& known_pairs,
+              const Vec& c, double mu, double lsigma,
+              std::size_t& fit_iterations)
+      : fit_iterations_(fit_iterations),
+        m_(known_pairs.size()),
+        d_(known_pairs[0].record.size()),
+        c_(c),
+        mu_(mu),
+        lsigma_(lsigma),
+        r_(m_ * d_) {
+    for (std::size_t i = 0; i < m_; ++i) {
+      const BitVec& p = known_pairs[i].record;
+      for (std::size_t k = 0; k < d_; ++k) {
+        r_[i * d_ + k] = p[k] != 0 ? 1.0 : 0.0;
+      }
     }
-    if (mid != nullptr) *mid = 0.5 * (lo + hi);
-    return hi - lo;
-  };
-  double lo = kRhatMin;
-  double hi = kRhatMax;
-  for (int it = 0; it < 200; ++it) {
-    const double m1 = lo + (hi - lo) / 3.0;
-    const double m2 = hi - (hi - lo) / 3.0;
-    if (gap(m1, nullptr) < gap(m2, nullptr)) {
-      lo = m1;
-    } else {
-      hi = m2;
+    // The regression's per-job terms, by the loops a one-query regression
+    // runs: c-bar, the centred scores and sxx.
+    for (std::size_t i = 0; i < m_; ++i) cbar_ += c_[i];
+    cbar_ /= static_cast<double>(m_);
+    cc_.resize(m_);
+    for (std::size_t i = 0; i < m_; ++i) {
+      cc_[i] = c_[i] - cbar_;
+      sxx_ += cc_[i] * cc_[i];
     }
   }
-  RtFit fit;
-  const double rhat = 0.5 * (lo + hi);
-  double mid = 0.0;
-  const double g = gap(rhat, &mid);
-  fit.rhat = rhat;
-  fit.that = std::clamp(mid, kThatMin, kThatMax);
-  fit.feasible = g >= 0.0 && fit.that > 0.0;
-  fit.violation = std::max(0.0, -g);
-  return fit;
-}
 
-/// Choose a chunk grain so each chunk carries enough work to amortize the
-/// dispatch cost. Depends only on the per-item work estimate, never on the
-/// thread count, so chunk boundaries (and results) stay deterministic.
-std::size_t grain_for(std::size_t work_per_item) {
-  constexpr std::size_t kGrainWork = std::size_t{1} << 14;
-  return std::max<std::size_t>(
-      1, kGrainWork / std::max<std::size_t>(work_per_item, 1));
-}
+  /// R[i][k] = 1 when record i contains keyword k, else 0.
+  [[nodiscard]] const double* record_row(std::size_t i) const {
+    return r_.data() + i * d_;
+  }
+
+  /// a_i = P_i . Q for every known record.
+  [[nodiscard]] Vec inner_products(const BitVec& q) const {
+    Vec a(m_, 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const double* row = record_row(i);
+      double s = 0.0;
+      for (std::size_t k = 0; k < d_; ++k) {
+        if (q[k] != 0) s += row[k];
+      }
+      a[i] = s;
+    }
+    return a;
+  }
+
+  /// The inner products of Q's d single-bit flips, one lane per keyword:
+  /// A[i][k] = a_i + delta_k R[i][k], with delta_k = -1 when Q holds k and
+  /// +1 otherwise.
+  void flips(const Vec& a, const BitVec& q, Vec& lanes) {
+    delta_.resize(d_);
+    for (std::size_t k = 0; k < d_; ++k) delta_[k] = q[k] != 0 ? -1.0 : 1.0;
+    lanes.resize(m_ * d_);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const double* row = record_row(i);
+      double* out = lanes.data() + i * d_;
+      for (std::size_t k = 0; k < d_; ++k) out[k] = a[i] + delta_[k] * row[k];
+    }
+  }
+
+  /// Maximum-likelihood residual of each lane: the sum of squares of
+  /// rhat c_i - that - (a_i + mu) with (rhat, that) the closed-form
+  /// regression of a_i + mu on c_i, clamped to the variable bounds.
+  void regression_sse(const double* lanes, std::size_t n, double* sse) {
+    bbar_.assign(n, 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const double* a = lanes + i * n;
+      for (std::size_t l = 0; l < n; ++l) bbar_[l] += a[l] + mu_;
+    }
+    for (std::size_t l = 0; l < n; ++l) bbar_[l] /= static_cast<double>(m_);
+    sxy_.assign(n, 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const double* a = lanes + i * n;
+      for (std::size_t l = 0; l < n; ++l) {
+        sxy_[l] += cc_[i] * (a[l] + mu_ - bbar_[l]);
+      }
+    }
+    rhat_.resize(n);
+    that_.resize(n);
+    for (std::size_t l = 0; l < n; ++l) {
+      rhat_[l] = std::clamp(sxx_ > 0.0 ? sxy_[l] / sxx_ : kRhatMin, kRhatMin,
+                            kRhatMax);
+      that_[l] = std::clamp(rhat_[l] * cbar_ - bbar_[l], kThatMin, kThatMax);
+    }
+    std::fill(sse, sse + n, 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const double* a = lanes + i * n;
+      for (std::size_t l = 0; l < n; ++l) {
+        const double e = rhat_[l] * c_[i] - that_[l] - (a[l] + mu_);
+        sse[l] += e * e;
+      }
+    }
+  }
+
+  /// With Q fixed, constraint i pins  that in
+  /// [rhat*c_i - a_i - (mu + l sigma), rhat*c_i - a_i - (mu - l sigma)].
+  /// g(rhat) = min_i hi_i - max_i lo_i (clipped by the that bounds) is
+  /// concave piecewise-linear in rhat; each lane maximizes its own g by
+  /// ternary search over its own (lo, hi). An iteration that moves no
+  /// lane's lo or hi leaves every lane at a fixed point — each later
+  /// iteration would repeat it exactly — so the search stops there, with
+  /// the answer the full kFitIterations would give.
+  void fit(const double* lanes, std::size_t n, RtFit* out) {
+    lo_.assign(n, kRhatMin);
+    hi_.assign(n, kRhatMax);
+    m1_.resize(n);
+    m2_.resize(n);
+    g1_.resize(n);
+    g2_.resize(n);
+    for (int it = 0; it < kFitIterations; ++it) {
+      for (std::size_t l = 0; l < n; ++l) {
+        m1_[l] = lo_[l] + (hi_[l] - lo_[l]) / 3.0;
+        m2_[l] = hi_[l] - (hi_[l] - lo_[l]) / 3.0;
+      }
+      gap(lanes, n, m1_.data(), g1_.data(), nullptr);
+      gap(lanes, n, m2_.data(), g2_.data(), nullptr);
+      fit_iterations_ += n;
+      bool moved = false;
+      for (std::size_t l = 0; l < n; ++l) {
+        if (g1_[l] < g2_[l]) {
+          moved = moved || lo_[l] != m1_[l];
+          lo_[l] = m1_[l];
+        } else {
+          moved = moved || hi_[l] != m2_[l];
+          hi_[l] = m2_[l];
+        }
+      }
+      if (!moved) break;
+    }
+    // The final point: m1_ now holds each lane's rhat, g2_ its midpoint.
+    for (std::size_t l = 0; l < n; ++l) m1_[l] = 0.5 * (lo_[l] + hi_[l]);
+    gap(lanes, n, m1_.data(), g1_.data(), g2_.data());
+    for (std::size_t l = 0; l < n; ++l) {
+      RtFit& f = out[l];
+      f.rhat = m1_[l];
+      f.that = std::clamp(g2_[l], kThatMin, kThatMax);
+      f.feasible = g1_[l] >= 0.0 && f.that > 0.0;
+      f.violation = std::max(0.0, -g1_[l]);
+    }
+  }
+
+ private:
+  /// g(rhat[l]) for each lane, and the midpoint of its that interval.
+  void gap(const double* lanes, std::size_t n, const double* rhat, double* g,
+           double* mid) {
+    up_.assign(n, kThatMax);
+    down_.assign(n, kThatMin);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const double* a = lanes + i * n;
+      const double ci = c_[i];
+      for (std::size_t l = 0; l < n; ++l) {
+        const double center = rhat[l] * ci - a[l] - mu_;
+        up_[l] = std::min(up_[l], center + lsigma_);
+        down_[l] = std::max(down_[l], center - lsigma_);
+      }
+    }
+    for (std::size_t l = 0; l < n; ++l) {
+      if (mid != nullptr) mid[l] = 0.5 * (down_[l] + up_[l]);
+      g[l] = up_[l] - down_[l];
+    }
+  }
+
+  std::size_t& fit_iterations_;
+  std::size_t m_;
+  std::size_t d_;
+  const Vec& c_;
+  double mu_;
+  double lsigma_;
+  std::vector<double> r_;  // row-major m x d record matrix R
+  double cbar_ = 0.0;
+  std::vector<double> cc_;  // c_i - c-bar
+  double sxx_ = 0.0;
+  // Per-lane scratch, reused across calls.
+  std::vector<double> delta_, bbar_, sxy_, rhat_, that_;
+  std::vector<double> lo_, hi_, m1_, m2_, g1_, g2_, up_, down_;
+};
 
 /// Root-LP rounding + exact (rhat, that) refit + greedy bit-flip repair.
-/// Returns a feasible point when it finds one. Candidate evaluations fan out
-/// over `threads`; every selection scan stays in ascending keyword order, so
-/// the result is bit-identical to the serial implementation (all candidate
-/// inputs are small-integer vectors — exact in doubles under any grouping).
+/// Returns a feasible point when it finds one. Runs serially; every probe
+/// loop is a batched ProbeKernel pass and every selection scan runs in
+/// ascending keyword order.
 std::optional<MipAttackResult> primal_heuristic(
     const std::vector<sse::KnownBinaryPair>& known_pairs, const Vec& c,
     double mu, double sigma, const MipAttackOptions& options,
     const Model& model, std::optional<opt::SimplexSolver>& solver,
-    std::size_t threads, std::size_t& fit_probes, MipWarmState& warm) {
+    std::size_t& fit_probes, std::size_t& polish_rounds,
+    std::size_t& fit_iterations, MipWarmState& warm) {
   const std::size_t d = known_pairs[0].record.size();
   const std::size_t m = known_pairs.size();
-  const double lsigma = options.l * sigma;
-
-  // a +/- delta on the rows whose record contains keyword k — the O(m)
-  // incremental form of inner_products after flipping bit k.
-  const auto add_column = [&](Vec& a, std::size_t k, double delta) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (known_pairs[i].record[k] != 0) a[i] += delta;
-    }
-  };
+  ProbeKernel kernel(known_pairs, c, mu, options.l * sigma, fit_iterations);
 
   const bool use_lp =
       options.root_ordering == RootOrdering::LpRelaxation ||
@@ -234,34 +374,29 @@ std::optional<MipAttackResult> primal_heuristic(
     cbar /= static_cast<double>(m);
     double cvar = 0.0;
     for (std::size_t i = 0; i < m; ++i) cvar += (c[i] - cbar) * (c[i] - cbar);
-    // Each keyword's correlation writes one disjoint slot of relaxed_q.
-    par::parallel_for(
-        0, d, grain_for(3 * m),
-        [&](std::size_t k) {
-          double pbar = 0.0;
-          for (std::size_t i = 0; i < m; ++i) pbar += known_pairs[i].record[k];
-          pbar /= static_cast<double>(m);
-          double cov = 0.0, pvar = 0.0;
-          for (std::size_t i = 0; i < m; ++i) {
-            const double pk = known_pairs[i].record[k] - pbar;
-            cov += pk * (c[i] - cbar);
-            pvar += pk * pk;
-          }
-          const double denom = std::sqrt(std::max(pvar * cvar, 1e-30));
-          relaxed_q[k] = 0.5 + 0.5 * (cov / denom);  // corr in [-1,1] -> [0,1]
-        },
-        threads);
+    for (std::size_t k = 0; k < d; ++k) {
+      double pbar = 0.0;
+      for (std::size_t i = 0; i < m; ++i) pbar += known_pairs[i].record[k];
+      pbar /= static_cast<double>(m);
+      double cov = 0.0, pvar = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double pk = known_pairs[i].record[k] - pbar;
+        cov += pk * (c[i] - cbar);
+        pvar += pk * pk;
+      }
+      const double denom = std::sqrt(std::max(pvar * cvar, 1e-30));
+      relaxed_q[k] = 0.5 + 0.5 * (cov / denom);  // corr in [-1,1] -> [0,1]
+    }
   }
 
-  const auto inner_products = [&](const BitVec& q) {
-    Vec a(m, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const BitVec& p = known_pairs[i].record;
-      double s = 0.0;
-      for (std::size_t k = 0; k < d; ++k) s += (p[k] && q[k]) ? 1.0 : 0.0;
-      a[i] = s;
-    }
-    return a;
+  // Candidate lanes (m x d) and their answers, shared by every phase.
+  Vec lanes;
+  std::vector<RtFit> fits(d);
+  std::vector<double> sse(d);
+  // After choosing flip `arg`, its lane already holds the new point's
+  // inner products.
+  const auto take_lane = [&](Vec& a, std::size_t arg) {
+    for (std::size_t i = 0; i < m; ++i) a[i] = lanes[i * d + arg];
   };
 
   // Grow phase: a first feasible point is often a *subset* of the true query
@@ -270,27 +405,12 @@ std::optional<MipAttackResult> primal_heuristic(
   // preferring high LP-relaxation values, so the returned point is maximal —
   // empirically much closer to the true Q (recall) at no precision cost.
   auto grow = [&](BitVec q, RtFit fit) {
-    Vec a = inner_products(q);
-    std::vector<RtFit> fits(d);
+    Vec a = kernel.inner_products(q);
     for (std::size_t round = 0; round < d; ++round) {
       fit_probes += d;
-      // Evaluate every candidate addition in parallel (each probe refits the
-      // two continuous variables against a + column_k — exact integers, so
-      // identical to the serial recomputation)...
-      par::parallel_for(
-          0, d, grain_for(200 * m),
-          [&](std::size_t k) {
-            if (q[k] != 0) {
-              fits[k] = RtFit{};
-              return;
-            }
-            Vec a2 = a;
-            add_column(a2, k, 1.0);
-            fits[k] = fit_rt(c, a2, mu, lsigma);
-          },
-          threads);
-      // ...then select in ascending keyword order, exactly like the serial
-      // scan did.
+      // Every lane with q[k] = 0 is "add keyword k"; the others are unused.
+      kernel.flips(a, q, lanes);
+      kernel.fit(lanes.data(), d, fits.data());
       std::size_t arg = d;
       double best_score = -opt::kInfinity;
       for (std::size_t k = 0; k < d; ++k) {
@@ -305,7 +425,7 @@ std::optional<MipAttackResult> primal_heuristic(
       }
       if (arg == d) break;
       q[arg] = 1;
-      add_column(a, arg, 1.0);
+      take_lane(a, arg);
       fit = fits[arg];
     }
     return std::make_pair(std::move(q), fit);
@@ -318,70 +438,35 @@ std::optional<MipAttackResult> primal_heuristic(
   // on the residual sum of squares (with (rhat, that) refit by closed-form
   // regression of a_i + mu on c_i), accepting only feasibility-preserving
   // flips, pulls an arbitrary feasible point toward the true one.
-  const auto regression_sse = [&](const Vec& a) {
-    const std::size_t n = c.size();
-    double cbar = 0.0, bbar = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      cbar += c[i];
-      bbar += a[i] + mu;
-    }
-    cbar /= static_cast<double>(n);
-    bbar /= static_cast<double>(n);
-    double sxy = 0.0, sxx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sxy += (c[i] - cbar) * (a[i] + mu - bbar);
-      sxx += (c[i] - cbar) * (c[i] - cbar);
-    }
-    const double rhat =
-        std::clamp(sxx > 0.0 ? sxy / sxx : kRhatMin, kRhatMin, kRhatMax);
-    const double that =
-        std::clamp(rhat * cbar - bbar, kThatMin, kThatMax);
-    double sse = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double e = rhat * c[i] - that - (a[i] + mu);
-      sse += e * e;
-    }
-    return sse;
-  };
-
+  //
   // Unconstrained descent: the feasibility requirement is dropped while
   // walking (the SSE valley between a shrunk feasible point and the true
   // query passes through infeasible intermediates); only the *final* point
-  // must satisfy Eq. (14).
+  // must satisfy Eq. (14). Returns the point and its SSE.
   auto polish = [&](BitVec q) {
-    Vec a = inner_products(q);
-    double cur = regression_sse(a);
-    std::vector<double> sse(d);
+    Vec a = kernel.inner_products(q);
+    double cur = 0.0;
+    kernel.regression_sse(a.data(), 1, &cur);
     for (std::size_t round = 0; round < 6 * d; ++round) {
+      ++polish_rounds;
       const std::size_t ones = popcount(q);
-      // Probe every single-bit flip in parallel; each probe's a2 is exact,
-      // so sse[k] matches the serial recomputation bit for bit.
-      par::parallel_for(
-          0, d, grain_for(4 * m),
-          [&](std::size_t k) {
-            if (q[k] != 0 && ones == 1) {  // keep >= 1 keyword
-              sse[k] = opt::kInfinity;
-              return;
-            }
-            Vec a2 = a;
-            add_column(a2, k, q[k] != 0 ? -1.0 : 1.0);
-            sse[k] = regression_sse(a2);
-          },
-          threads);
+      kernel.flips(a, q, lanes);
+      kernel.regression_sse(lanes.data(), d, sse.data());
       double best_sse = cur;
       std::size_t arg = d;
       for (std::size_t k = 0; k < d; ++k) {
+        if (q[k] != 0 && ones == 1) continue;  // keep >= 1 keyword
         if (sse[k] < best_sse - 1e-9) {
           best_sse = sse[k];
           arg = k;
         }
       }
       if (arg == d) break;  // local minimum
-      add_column(a, arg, q[arg] != 0 ? -1.0 : 1.0);
+      take_lane(a, arg);
       q[arg] ^= 1;
       cur = best_sse;
     }
-    return q;
+    return std::make_pair(std::move(q), cur);
   };
 
   auto package = [&](BitVec q, RtFit fit) {
@@ -400,34 +485,27 @@ std::optional<MipAttackResult> primal_heuristic(
 
   // Prefix scan: order coordinates by LP value and test every prefix
   // {top-1, top-2, ..., top-d} as a rounding candidate. This subsumes any
-  // fixed threshold and finds a feasible support size directly.
+  // fixed threshold and finds a feasible support size directly. Lane s
+  // holds the inner products of the prefix of length s + 1.
   std::vector<std::size_t> order(d);
   for (std::size_t k = 0; k < d; ++k) order[k] = k;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return relaxed_q[a] > relaxed_q[b];
   });
 
-  // Fit every prefix in parallel. A chunk rebuilds the prefix inner products
-  // at its start (a_s is a 0/1 column sum — exact in doubles under any
-  // grouping) and then extends incrementally, so fits[s] is bit-identical to
-  // the serial one-prefix-at-a-time recomputation. The grain is a function
-  // of d alone; 16-ish chunks keep the rebuild cost a small fraction of the
-  // fit_rt work.
-  std::vector<RtFit> prefix_fits(d);
   fit_probes += d;
   {
     obs::Span span("mip/prefix_scan");
-    par::default_pool().run_chunked(
-        0, d, std::max<std::size_t>(1, (d + 15) / 16),
-        [&](std::size_t lo, std::size_t hi) {
-          Vec a(m, 0.0);
-          for (std::size_t s = 0; s < lo; ++s) add_column(a, order[s], 1.0);
-          for (std::size_t s = lo; s < hi; ++s) {
-            add_column(a, order[s], 1.0);
-            prefix_fits[s] = fit_rt(c, a, mu, lsigma);
-          }
-        },
-        threads);
+    lanes.resize(m * d);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* row = kernel.record_row(i);
+      double s = 0.0;
+      for (std::size_t t = 0; t < d; ++t) {
+        s += row[order[t]];
+        lanes[i * d + t] = s;
+      }
+    }
+    kernel.fit(lanes.data(), d, fits.data());
   }
 
   BitVec first_feasible;
@@ -438,7 +516,7 @@ std::optional<MipAttackResult> primal_heuristic(
   BitVec q_prefix(d, 0);
   for (std::size_t s = 0; s < d; ++s) {
     q_prefix[order[s]] = 1;
-    const RtFit& fit = prefix_fits[s];
+    const RtFit& fit = fits[s];
     if (fit.feasible && !have_feasible) {
       first_feasible = q_prefix;
       first_feasible_fit = fit;
@@ -462,17 +540,17 @@ std::optional<MipAttackResult> primal_heuristic(
     while (s <= d) {
       BitVec q0(d, 0);
       for (std::size_t i = 0; i < s; ++i) q0[order[i]] = 1;
-      BitVec qd = polish(std::move(q0));
-      const double sse = regression_sse(inner_products(qd));
-      if (sse < best_sse) {
-        best_sse = sse;
+      auto [qd, sse_d] = polish(std::move(q0));
+      if (sse_d < best_sse) {
+        best_sse = sse_d;
         best_ml = std::move(qd);
       }
       s = std::max(s + 1, s + s / 3);  // geometric-ish ladder
     }
     if (!best_ml.empty()) {
       fit_probes += 1;
-      const RtFit fit = fit_rt(c, inner_products(best_ml), mu, lsigma);
+      RtFit fit;
+      kernel.fit(kernel.inner_products(best_ml).data(), 1, &fit);
       if (fit.feasible) return package(std::move(best_ml), fit);
     }
   }
@@ -484,42 +562,29 @@ std::optional<MipAttackResult> primal_heuristic(
   }
 
   // Greedy repair from the best rounding: flip the single bit that most
-  // reduces the violation; stop at feasibility or a local minimum. Candidate
-  // flips are probed in parallel, selected in ascending keyword order.
+  // reduces the violation; stop at feasibility or a local minimum.
   obs::Span repair_span("mip/repair");
   BitVec q = std::move(best_q);
-  Vec a = inner_products(q);
-  std::vector<RtFit> flip_fits(d);
+  Vec a = kernel.inner_products(q);
   for (std::size_t flip = 0; flip < max_flips; ++flip) {
     const std::size_t ones = popcount(q);
     fit_probes += d;
-    par::parallel_for(
-        0, d, grain_for(200 * m),
-        [&](std::size_t k) {
-          const std::size_t flipped = q[k] != 0 ? ones - 1 : ones + 1;
-          if (flipped < 1) {
-            flip_fits[k] = RtFit{};
-            flip_fits[k].violation = opt::kInfinity;
-            return;
-          }
-          Vec a2 = a;
-          add_column(a2, k, q[k] != 0 ? -1.0 : 1.0);
-          flip_fits[k] = fit_rt(c, a2, mu, lsigma);
-        },
-        threads);
+    kernel.flips(a, q, lanes);
+    kernel.fit(lanes.data(), d, fits.data());
     double cur = best_violation;
     std::size_t arg = d;
     for (std::size_t k = 0; k < d; ++k) {
-      if (flip_fits[k].violation < cur - 1e-12) {
-        cur = flip_fits[k].violation;
+      if (q[k] != 0 && ones == 1) continue;  // keep >= 1 keyword
+      if (fits[k].violation < cur - 1e-12) {
+        cur = fits[k].violation;
         arg = k;
       }
     }
     if (arg == d) break;  // local minimum
-    add_column(a, arg, q[arg] != 0 ? -1.0 : 1.0);
+    take_lane(a, arg);
     q[arg] ^= 1;
     best_violation = cur;
-    if (flip_fits[arg].feasible) return package(q, flip_fits[arg]);
+    if (fits[arg].feasible) return package(q, fits[arg]);
   }
   return std::nullopt;
 }
@@ -574,6 +639,8 @@ MipAttackResult run_mip_attack(
 
   MipAttackResult result;
   std::size_t fit_probes = 0;
+  std::size_t polish_rounds = 0;
+  std::size_t fit_iterations = 0;
   bool answered = false;
   if (options.use_heuristic) {
     obs::Span span("mip/heuristic");
@@ -583,7 +650,7 @@ MipAttackResult run_mip_attack(
     }
     auto heuristic =
         primal_heuristic(known_pairs, c, mu, sigma, options, model, solver,
-                         ctx.resolved_threads(), fit_probes, *ws);
+                         fit_probes, polish_rounds, fit_iterations, *ws);
     if (heuristic.has_value()) {
       result = *std::move(heuristic);
       answered = true;
@@ -618,6 +685,10 @@ MipAttackResult run_mip_attack(
       static_cast<double>(model.num_variables());
   result.telemetry.counters["mip.heuristic.fit_probes"] =
       static_cast<double>(fit_probes);
+  result.telemetry.counters["mip.heuristic.polish_rounds"] =
+      static_cast<double>(polish_rounds);
+  result.telemetry.counters["mip.heuristic.fit_iterations"] =
+      static_cast<double>(fit_iterations);
   result.telemetry.counters["mip.bnb.nodes"] = static_cast<double>(bnb_nodes);
   result.telemetry.counters["mip.bnb.simplex_iterations"] =
       static_cast<double>(bnb_pivots);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
+#include "bit_digest.hpp"
 #include "core/metrics.hpp"
 #include "data/quest.hpp"
 #include "data/queries.hpp"
@@ -21,9 +24,10 @@ struct Scenario {
   double sigma;
 };
 
+/// `trapdoors` queries are issued; `query` is the first (trapdoor 0).
 Scenario make_scenario(std::size_t d, std::size_t m, double density,
                        double sigma, std::size_t query_ones,
-                       std::uint64_t seed) {
+                       std::uint64_t seed, std::size_t trapdoors = 1) {
   scheme::MrseOptions opt;
   opt.vocab_dim = d;
   opt.sigma = sigma;
@@ -43,6 +47,9 @@ Scenario make_scenario(std::size_t d, std::size_t m, double density,
 
   s.query = rng.binary_with_k_ones(d, query_ones);
   system.ranked_query(s.query, 5);
+  for (std::size_t t = 1; t < trapdoors; ++t) {
+    system.ranked_query(rng.binary_with_k_ones(d, query_ones), 5);
+  }
 
   std::vector<std::size_t> all_ids;
   for (std::size_t i = 0; i < m; ++i) all_ids.push_back(i);
@@ -252,6 +259,87 @@ TEST(MipAttack, TableIiCellsPinSimplexWorkAndAnswers) {
     EXPECT_EQ(refactors, pin.refactorizations) << actual.str();
     EXPECT_EQ(ones, pin.ones) << actual.str();
   }
+}
+
+TEST(MipAttack, HeuristicFitStopsAtFixedPoint) {
+  // A Table II cell: each fit's ternary search stops at the first iteration
+  // that moves no lane, well before its 200-iteration cap, and the polish
+  // runs its batched probe rounds.
+  const Scenario s = make_scenario(100, 100, 0.20, 0.5, 15, 102);
+  const MipAttackResult res =
+      run_mip_attack(s.view, 0, s.mu, s.sigma, MipAttackOptions{});
+  ASSERT_EQ(res.status, opt::MipStatus::Heuristic);
+  const double probes = res.telemetry.counter("mip.heuristic.fit_probes");
+  const double iterations =
+      res.telemetry.counter("mip.heuristic.fit_iterations");
+  EXPECT_GT(probes, 0.0);
+  EXPECT_GT(iterations, 0.0);
+  EXPECT_LT(iterations, 200.0 * probes);
+  EXPECT_GT(res.telemetry.counter("mip.heuristic.polish_rounds"), 0.0);
+}
+
+bool has_span(const MipAttackResult& res, const std::string& name) {
+  return std::any_of(res.telemetry.spans.begin(), res.telemetry.spans.end(),
+                     [&](const obs::SpanStat& st) { return st.name == name; });
+}
+
+TEST(MipAttack, HeuristicPinnedBitwise) {
+  // Digests found, status, the query bytes and the bits of rhat and that,
+  // at 1 and 4 threads, over every path of the primal heuristic: the six
+  // Table II cells (d = m = 100, 15-keyword queries, root LP ordering) with
+  // four trapdoors each; one correlation-ordering instance (m > 300); one
+  // instance the grow phase answers and one the greedy repair answers. The
+  // digest was recorded before the heuristic's probe loops were batched, so
+  // it holds any rewrite of them to the original arithmetic bit for bit.
+  struct Instance {
+    std::size_t d, m;
+    double rho, sigma, l;
+    std::size_t query_ones;
+    std::uint64_t seed;
+    std::size_t trapdoors;
+    const char* span;  // the heuristic path the instance must take
+  };
+  std::vector<Instance> instances;
+  const double cells[6][2] = {{0.5, 0.05}, {0.5, 0.20}, {0.5, 0.35},
+                              {1.0, 0.05}, {1.0, 0.20}, {1.0, 0.35}};
+  for (std::size_t i = 0; i < 6; ++i) {
+    instances.push_back({100, 100, cells[i][1], cells[i][0], 3.0, 15,
+                         101 + i, 4, "mip/root_relaxation"});
+  }
+  instances.push_back(
+      {30, 320, 0.2, 0.5, 3.0, 5, 7, 1, "mip/correlation_ordering"});
+  instances.push_back({30, 30, 0.2, 0.5, 1.5, 5, 11, 1, "mip/grow"});
+  instances.push_back({30, 30, 0.2, 0.5, 1.5, 5, 24, 1, "mip/repair"});
+
+  pinning::Fnv1a digest;
+  for (const Instance& in : instances) {
+    const Scenario s = make_scenario(in.d, in.m, in.rho, in.sigma,
+                                     in.query_ones, in.seed, in.trapdoors);
+    MipAttackOptions opt = fast_options();
+    opt.l = in.l;
+    for (std::size_t t = 0; t < in.trapdoors; ++t) {
+      for (const std::size_t threads : {1u, 4u}) {
+        obs::MemorySink sink;
+        ExecContext ctx;
+        ctx.threads = threads;
+        ctx.sink = &sink;
+        const MipAttackResult res =
+            run_mip_attack(s.view, t, s.mu, s.sigma, opt, ctx);
+        EXPECT_TRUE(has_span(res, in.span))
+            << in.span << " seed " << in.seed << " trapdoor " << t;
+        // The heuristic answers, so the digest covers that path's fits.
+        EXPECT_EQ(res.status, opt::MipStatus::Heuristic)
+            << "seed " << in.seed << " trapdoor " << t;
+        digest.add(std::uint64_t{res.found});
+        digest.add(static_cast<std::uint64_t>(res.status));
+        digest.add(std::uint64_t{res.query.size()});
+        for (const std::uint8_t b : res.query) digest.add(std::uint64_t{b});
+        digest.add(res.rhat);
+        digest.add(res.that);
+      }
+    }
+  }
+  EXPECT_EQ(digest.h, 0xbe79598cad28bab9ull) << std::hex << "0x" << digest.h;
 }
 
 }  // namespace

@@ -115,9 +115,10 @@ TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
 
 TEST(Par, MatrixProductBitIdenticalAcrossThreadCounts) {
   rng::Rng rng(21);
-  // 80x70 with inner dimension 60 puts the product above the parallel
-  // threshold (336k flops), so the threaded kernel actually engages.
-  linalg::Matrix a(80, 60), b(60, 70);
+  // 200x150 with inner dimension 100 is 3M multiply-adds: gemm cuts it into
+  // several tasks over both its row blocks and its column panels, so the
+  // threaded kernel actually engages (a pool batch, not a serial run).
+  linalg::Matrix a(200, 100), b(100, 150);
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (std::size_t k = 0; k < a.cols(); ++k) a(i, k) = rng.uniform(-1, 1);
   for (std::size_t k = 0; k < b.rows(); ++k)
@@ -126,8 +127,15 @@ TEST(Par, MatrixProductBitIdenticalAcrossThreadCounts) {
   par::set_default_threads(1);
   const linalg::Matrix serial = a * b;
   par::set_default_threads(4);
-  const linalg::Matrix threaded = a * b;
+  linalg::Matrix threaded;
+  obs::MemorySink sink;
+  {
+    obs::ScopedRecording rec(&sink);
+    threaded = a * b;
+  }
   par::set_default_threads(0);  // restore the hardware default
+  EXPECT_GE(sink.counter("par.batches"), 1.0);
+  EXPECT_EQ(sink.counters().count("par.serial_batches"), 0u);
 
   ASSERT_EQ(serial.rows(), threaded.rows());
   ASSERT_EQ(serial.cols(), threaded.cols());

@@ -102,12 +102,11 @@ struct MipWarmState {
 /// ExecContext last, both defaulted — the default ExecContext runs serially,
 /// matching the historical options-only form.
 ///
-/// The primal heuristic's candidate evaluations (the per-keyword fit_rt /
-/// SSE probes that dominate Algorithm 2's runtime) fan out over ctx.threads,
-/// with selection done serially in keyword order — the recovered query is
-/// bit-identical to the serial path. The attack consumes no randomness;
-/// ctx.seed is unused. Only telemetry (wall clock) varies across thread
-/// counts.
+/// The attack runs serially: the primal heuristic scores all d candidate
+/// flips or prefixes of a round in one pass over the record matrix
+/// (docs/opt.md, "Primal heuristic"), and ctx.threads is not consulted, so
+/// the recovered query is the same at any thread count. The attack consumes
+/// no randomness; ctx.seed is unused. ctx.sink receives its telemetry.
 [[nodiscard]] MipAttackResult run_mip_attack(
     const std::vector<sse::KnownBinaryPair>& known_pairs,
     const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,

@@ -252,43 +252,38 @@ class TextReader final : public CorpusReader {
   }
 
   std::optional<Record> read_next() override {
-    std::istream& is = *is_;
+    detail::Scanner in(*is_);
     while (true) {
       if (pending_pairs_ > 0) {
         --pending_pairs_;
         Record r;
         r.kind = RecordKind::CipherPair;
-        r.cipher = detail::read_cipher_pair(is);
+        in.expect("cipher");
+        r.cipher = detail::read_cipher_pair_body(in);
         return r;
       }
-      is >> std::ws;
-      if (is.peek() == std::char_traits<char>::eof()) return std::nullopt;
-      std::string tag;
-      is >> tag;
+      const std::string_view tag = in.token();
+      if (tag.empty()) return std::nullopt;
       Record r;
       if (tag == "vec") {
         r.kind = RecordKind::Vec;
-        r.vec = detail::read_vec_body(is);
+        r.vec = detail::read_vec_body(in);
       } else if (tag == "bits") {
         r.kind = RecordKind::BitVec;
-        r.bits = detail::read_bitvec_body(is);
+        r.bits = detail::read_bitvec_body(in);
       } else if (tag == "matrix") {
         r.kind = RecordKind::Matrix;
-        r.matrix = detail::read_matrix_body(is);
+        r.matrix = detail::read_matrix_body(in);
       } else if (tag == "cipher") {
         r.kind = RecordKind::CipherPair;
-        r.cipher = detail::read_cipher_pair_body(is);
+        r.cipher = detail::read_cipher_pair_body(in);
       } else if (tag == "encrypted_db") {
-        long long n = 0;
-        if (!(is >> n) || n < 0) {
-          throw IoError("malformed size for encrypted_db");
-        }
         // The frame only announces the count; loop back for the records
         // themselves (an empty database frames zero of them).
-        pending_pairs_ = static_cast<std::size_t>(n);
+        pending_pairs_ = in.size("encrypted_db");
         continue;
       } else {
-        throw IoError("unknown record tag '" + tag + "'");
+        throw IoError("unknown record tag '" + std::string(tag) + "'");
       }
       return r;
     }

@@ -15,8 +15,10 @@
 // io::TextCodec / io::BinaryCodec directly) — see docs/io.md.
 #pragma once
 
+#include <array>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -55,13 +57,42 @@ void write_vec_list(std::ostream& os, const std::vector<Vec>& vs);
 void write_bitvec_list(std::ostream& os, const std::vector<BitVec>& vs);
 [[nodiscard]] std::vector<BitVec> read_bitvec_list(std::istream& is);
 
+/// The text grammar's tokenizer: whitespace-separated tokens read straight
+/// off the stream's buffer, converted with <charconv> (no locale, no
+/// iostream number parsing). The accepted grammar is in docs/io.md. Stream
+/// state follows operator>>: a read that reaches the end of input sets
+/// eofbit, finding no token or a token that does not convert sets failbit,
+/// and a stream that is not good() yields no token — so a drained stream
+/// stays drained until its owner clear()s it.
+class Scanner {
+ public:
+  explicit Scanner(std::istream& is);
+
+  /// The next token, or an empty view at end of input. The view is valid
+  /// until the next read.
+  [[nodiscard]] std::string_view token();
+  /// Consume the next token, which must be `tag` (IoError otherwise).
+  void expect(std::string_view tag);
+  /// A non-negative decimal integer: an optional sign, then digits.
+  [[nodiscard]] std::size_t size(const char* what);
+  /// A decimal numeral: an optional sign, digits with at most one point, an
+  /// optional exponent. No inf, nan or hex.
+  [[nodiscard]] double number(const char* what);
+
+ private:
+  std::istream& is_;
+  std::streambuf* buf_;
+  std::array<char, 64> short_{};  // holds every numeral the writer emits
+  std::string long_;  // longer tokens, grown only as far as the stream goes
+};
+
 // Body parsers — the grammar after the record tag has already been consumed.
 // The streaming text reader (io::TextCodec) dispatches on the tag token and
 // hands the rest of the record to these.
-[[nodiscard]] Vec read_vec_body(std::istream& is);
-[[nodiscard]] BitVec read_bitvec_body(std::istream& is);
-[[nodiscard]] linalg::Matrix read_matrix_body(std::istream& is);
-[[nodiscard]] scheme::CipherPair read_cipher_pair_body(std::istream& is);
+[[nodiscard]] Vec read_vec_body(Scanner& in);
+[[nodiscard]] BitVec read_bitvec_body(Scanner& in);
+[[nodiscard]] linalg::Matrix read_matrix_body(Scanner& in);
+[[nodiscard]] scheme::CipherPair read_cipher_pair_body(Scanner& in);
 
 }  // namespace detail
 

@@ -1,10 +1,12 @@
-// FNV-1a digests over the bit patterns of doubles, for tests that pin an
-// answer bit for bit: a single flipped ulp anywhere changes the digest.
+// FNV-1a digests over the bit patterns of doubles (or over raw bytes), for
+// tests that pin an answer bit for bit: a single flipped ulp anywhere changes
+// the digest.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
@@ -20,6 +22,12 @@ struct Fnv1a {
     }
   }
   void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add_bytes(std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
   void add(const linalg::Matrix& m) {
     add(std::uint64_t{m.rows()});
     add(std::uint64_t{m.cols()});

@@ -902,6 +902,10 @@ void write_snmf_json(const std::string& path) {
       << (estimates_agree ? "true" : "false")
       << ",\n  \"attack_wallclock_speedup_cold_over_warm\": "
       << (warm_s > 0.0 ? cold_s / warm_s : 0.0)
+      // Both sides of the ratio, gated on their own: a change that speeds
+      // up both can move the ratio either way.
+      << ",\n  \"attack_cold_seconds\": " << cold_s
+      << ",\n  \"attack_warm_seconds\": " << warm_s
       << ",\n  \"attack_outputs_bit_identical\": "
       << (bit_identical ? "true" : "false") << "\n}\n";
 }

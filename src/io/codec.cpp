@@ -621,8 +621,7 @@ class BinaryReader final : public CorpusReader {
 
  private:
   void load(std::istream& is) {
-    buf_.assign(std::istreambuf_iterator<char>(is),
-                std::istreambuf_iterator<char>());
+    read_rest(is.rdbuf());
     if (buf_.size() < v2::kHeaderBytes) {
       throw IoError("io::v2: file shorter than the 64-byte header");
     }
@@ -631,6 +630,34 @@ class BinaryReader final : public CorpusReader {
     sections_ = v2::decode_section_table(bytes + header_.table_offset,
                                          header_);
     v2::validate_sections(header_, sections_);
+  }
+
+  /// buf_ <- everything from the stream buffer's position to its end. A
+  /// buffer that can seek is sized from its end and read in one call; one
+  /// that cannot (or that grew after it was sized) is read on in fixed
+  /// chunks. The stream's state flags are not touched.
+  void read_rest(std::streambuf* sb) {
+    buf_.clear();
+    if (sb == nullptr) return;
+    using traits = std::streambuf::traits_type;
+    const std::streampos failed(std::streamoff(-1));
+    const std::streampos here = sb->pubseekoff(0, std::ios::cur, std::ios::in);
+    if (here != failed) {
+      const std::streampos end = sb->pubseekoff(0, std::ios::end, std::ios::in);
+      if (end != failed && sb->pubseekpos(here, std::ios::in) == here &&
+          end > here) {
+        buf_.resize(static_cast<std::size_t>(end - here));
+      }
+    }
+    auto filled = static_cast<std::size_t>(
+        sb->sgetn(buf_.data(), static_cast<std::streamsize>(buf_.size())));
+    constexpr std::size_t kChunk = std::size_t{1} << 16;
+    while (filled == buf_.size() && sb->sgetc() != traits::eof()) {
+      buf_.resize(filled + kChunk);
+      filled += static_cast<std::size_t>(
+          sb->sgetn(buf_.data() + filled, std::streamsize{kChunk}));
+    }
+    buf_.resize(filled);
   }
 
   [[nodiscard]] const unsigned char* payload(

@@ -24,7 +24,8 @@ void QrDecomposition::factor() {
   // s[j]: the reflector's product with panel column k + 1 + j, later its
   // negated update multiplier.
   std::vector<double> s(nb);
-  Matrix v_panel, t_panel, work;
+  panel_t_.clear();
+  Matrix v_panel, work;
   for (std::size_t k0 = 0; k0 < n; k0 += nb) {
     const std::size_t kb = std::min(nb, n - k0);
 
@@ -92,7 +93,9 @@ void QrDecomposition::factor() {
     // two gemms instead of kb rank-1 passes.
     const std::size_t trailing = n - (k0 + kb);
     if (trailing == 0) continue;
-    build_panel(k0, kb, v_panel, t_panel);
+    build_v(k0, kb, v_panel);
+    Matrix& t_panel = panel_t_.emplace_back();
+    build_t(k0, kb, v_panel, t_panel);
     const MatrixView c = qr_.block(k0, k0 + kb, m - k0, trailing);
     work = Matrix(kb, trailing);
     gemm(1.0, v_panel.cview(), Op::Transpose, ConstMatrixView(c), Op::None,
@@ -105,8 +108,8 @@ void QrDecomposition::factor() {
   }
 }
 
-void QrDecomposition::build_panel(std::size_t k0, std::size_t kb, Matrix& v,
-                                  Matrix& t) const {
+void QrDecomposition::build_v(std::size_t k0, std::size_t kb,
+                              Matrix& v) const {
   const std::size_t mk = qr_.rows() - k0;
   // V: unit diagonal, Householder tails below, zeros above.
   v = Matrix(mk, kb, 0.0);
@@ -115,6 +118,11 @@ void QrDecomposition::build_panel(std::size_t k0, std::size_t kb, Matrix& v,
     std::copy(src, src + std::min(i, kb), v.row_ptr(i));
     if (i < kb) v(i, i) = 1.0;
   }
+}
+
+void QrDecomposition::build_t(std::size_t k0, std::size_t kb, const Matrix& v,
+                              Matrix& t) const {
+  const std::size_t mk = v.rows();
   // y(j, c) = V(j:, c)^T v_j for c < j (columns overlap only from row j
   // down), all formed in one pass down the rows; each sum starts at 0.0 at
   // row j and runs in ascending row order, as dot() does.
@@ -178,11 +186,14 @@ Matrix QrDecomposition::thin_q() const {
   for (std::size_t i = 0; i < n; ++i) q(i, i) = 1.0;
   const std::size_t nb = std::max<std::size_t>(1, options_.block);
   const std::size_t panels = (n + nb - 1) / nb;
-  Matrix v_panel, t_panel;
+  Matrix v_panel, last_t;
   for (std::size_t p = panels; p-- > 0;) {
     const std::size_t k0 = p * nb;
     const std::size_t kb = std::min(nb, n - k0);
-    build_panel(k0, kb, v_panel, t_panel);
+    build_v(k0, kb, v_panel);
+    // factor() kept T for every panel but the last.
+    if (p >= panel_t_.size()) build_t(k0, kb, v_panel, last_t);
+    const Matrix& t_panel = p < panel_t_.size() ? panel_t_[p] : last_t;
     const MatrixView c = q.block(k0, 0, m - k0, n);
     Matrix work(kb, n);
     gemm(1.0, v_panel.cview(), Op::Transpose, ConstMatrixView(c), Op::None,

@@ -15,6 +15,8 @@
 // (bit-for-bit the pre-blocked result).
 #pragma once
 
+#include <vector>
+
 #include "linalg/matrix.hpp"
 
 namespace aspe::linalg {
@@ -57,13 +59,18 @@ class QrDecomposition {
 
  private:
   void factor();
-  /// Materialize the compact-WY pair (V, T) of the panel starting at column
-  /// k0: V is (m - k0) x kb unit lower-trapezoidal, T is kb x kb upper
-  /// triangular with Q_panel = I - V T V^T.
-  void build_panel(std::size_t k0, std::size_t kb, Matrix& v, Matrix& t) const;
+  /// The compact-WY pair (V, T) of the panel starting at column k0, with
+  /// Q_panel = I - V T V^T. build_v materializes V, (m - k0) x kb unit
+  /// lower-trapezoidal; build_t forms T, kb x kb upper triangular, from it.
+  void build_v(std::size_t k0, std::size_t kb, Matrix& v) const;
+  void build_t(std::size_t k0, std::size_t kb, const Matrix& v,
+               Matrix& t) const;
 
   Matrix qr_;  // Householder vectors below the diagonal, R on and above
   Vec tau_;    // Householder coefficients
+  // T of every panel factor() built for a trailing update (all panels but
+  // the last), kept for thin_q.
+  std::vector<Matrix> panel_t_;
   QrOptions options_;
 };
 

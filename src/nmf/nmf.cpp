@@ -64,21 +64,20 @@ double penalty(const Matrix& w, const Matrix& h, double eta, double lambda) {
 
 /// Eq. (18) via the Gram identity
 ///   ||R - W^T H||_F^2 = ||R||_F^2 - 2 <F, W> + <W W^T, H H^T>,  F = H R^T,
-/// O(d^2 (m + n)) given F, against the naive O(m n d) residual sweep. F is
-/// a by-product of the ANLS W-half-step, so per-iteration convergence
-/// checks get it for free. The small clamp absorbs the cancellation
-/// roundoff that can push an (exactly tiny) fit a hair negative.
+/// O(d^2 (m + n)) given F, against the naive O(m n d) residual sweep. F,
+/// gw = W W^T and gh = H H^T are by-products of the ANLS half-steps, so
+/// per-iteration convergence checks get them for free. The small clamp
+/// absorbs the cancellation roundoff that can push an (exactly tiny) fit a
+/// hair negative.
 double objective_from_gram(double r_fro2, const Matrix& f_w, const Matrix& w,
-                           const Matrix& h, double eta, double lambda,
-                           double* fit_error, std::size_t threads) {
+                           const Matrix& h, const Matrix& gw, const Matrix& gh,
+                           double eta, double lambda, double* fit_error) {
   double cross = 0.0;
   {
     const auto& fd = f_w.data();
     const auto& wd = w.data();
     for (std::size_t i = 0; i < fd.size(); ++i) cross += fd[i] * wd[i];
   }
-  const Matrix gw = gram_rows(w, threads);
-  const Matrix gh = gram_rows(h, threads);
   double quad = 0.0;
   {
     const auto& a = gw.data();
@@ -96,24 +95,27 @@ struct NnlsBatchStats {
   double solves = 0.0;
   double warm_starts = 0.0;
   double warm_hits = 0.0;
+  double factor_rows = 0.0;
 
   void absorb(const std::vector<NnlsWorkspace>& ws) {
     solves += static_cast<double>(ws.size());
     for (const auto& w : ws) {
       warm_starts += w.warm_started() ? 1.0 : 0.0;
       warm_hits += w.passive_set_reused() ? 1.0 : 0.0;
+      factor_rows += static_cast<double>(w.factor_rows_computed());
     }
   }
 };
 
 /// ANLS half step: solve for H in min ||R - W^T H|| + lambda L1^2 columns.
-/// Gram trick: G = W W^T + lambda * ones, F = W R.
-void update_h_anls(const Matrix& r, const Matrix& w, Matrix& h, double lambda,
-                   std::size_t threads, std::vector<NnlsWorkspace>& ws,
-                   bool warm, NnlsBatchStats& stats) {
+/// Gram trick: G = W W^T + lambda * ones, F = W R; gw = W W^T is passed in.
+void update_h_anls(const Matrix& r, const Matrix& w, const Matrix& gw,
+                   Matrix& h, double lambda, std::size_t threads,
+                   std::vector<NnlsWorkspace>& ws, bool warm,
+                   NnlsBatchStats& stats) {
   obs::Span span("nmf/update_h");
   const std::size_t d = w.rows();
-  Matrix g = gram_rows(w, threads);
+  Matrix g = gw;
   for (auto& x : g.data()) x += lambda;
   // Tiny ridge keeps principal submatrices SPD when W rows are degenerate.
   for (std::size_t k = 0; k < d; ++k) g(k, k) += 1e-10;
@@ -135,15 +137,17 @@ void update_h_anls(const Matrix& r, const Matrix& w, Matrix& h, double lambda,
 }
 
 /// ANLS half step for W: min ||R^T - H^T W|| + eta ||W||^2.
-/// Gram: G = H H^T + eta I, F = H R^T. F depends only on (H, R), both
-/// fixed for the rest of the iteration, so it is exported through f_w for
-/// the objective evaluation that follows.
+/// Gram: G = H H^T + eta I, F = H R^T. gh = H H^T and F depend only on
+/// (H, R), both fixed for the rest of the iteration, so they are exported
+/// through gh and f_w for the objective evaluation that follows.
 void update_w_anls(const Matrix& r, Matrix& w, const Matrix& h, double eta,
                    std::size_t threads, std::vector<NnlsWorkspace>& ws,
-                   bool warm, NnlsBatchStats& stats, Matrix& f_w) {
+                   bool warm, NnlsBatchStats& stats, Matrix& gh,
+                   Matrix& f_w) {
   obs::Span span("nmf/update_w");
   const std::size_t d = h.rows();
-  Matrix g = gram_rows(h, threads);
+  linalg::gram(h.cview(), gh.view(), threads);
+  Matrix g = gh;
   for (std::size_t k = 0; k < d; ++k) g(k, k) += eta + 1e-10;
   // F = H R^T (d x m): transposition is an op flag into gemm, not a copy.
   const std::size_t m = r.rows();
@@ -327,24 +331,30 @@ NmfResult run_from_init(const Matrix& r, std::size_t rank,
     }
   }
 
-  // F = H R^T, maintained by every update step for the objective below.
+  // F = H R^T and the Gram matrices gw = W W^T, gh = H H^T, maintained by
+  // every update step for the objective below. Each is built once per
+  // change of its factor: gh by the W half-step (from the new H), gw after
+  // it (from the new W), which the next H half-step reuses.
   Matrix f_w(rank, r.rows());
   linalg::gemm(1.0, result.h.cview(), Op::None, r.cview(), Op::Transpose, 0.0,
                f_w.view(), threads);
+  Matrix gw = gram_rows(result.w, threads);
+  Matrix gh = gram_rows(result.h, threads);
 
-  double prev_obj = objective_from_gram(r_fro2, f_w, result.w, result.h,
-                                        options.eta, options.lambda, nullptr,
-                                        threads);
+  double prev_obj = objective_from_gram(r_fro2, f_w, result.w, result.h, gw,
+                                        gh, options.eta, options.lambda,
+                                        nullptr);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    update_h_anls(r, result.w, result.h, options.lambda, threads, ws_h, warm,
-                  stats);
+    update_h_anls(r, result.w, gw, result.h, options.lambda, threads, ws_h,
+                  warm, stats);
     update_w_anls(r, result.w, result.h, options.eta, threads, ws_w, warm,
-                  stats, f_w);
+                  stats, gh, f_w);
+    linalg::gram(result.w.cview(), gw.view(), threads);
     obs::counter_add("nmf.anls_iterations", 1.0);
     result.iterations = it + 1;
     const double obj =
-        objective_from_gram(r_fro2, f_w, result.w, result.h, options.eta,
-                            options.lambda, nullptr, threads);
+        objective_from_gram(r_fro2, f_w, result.w, result.h, gw, gh,
+                            options.eta, options.lambda, nullptr);
     if (std::abs(prev_obj - obj) <=
         options.rel_tol * std::max(1.0, std::abs(prev_obj))) {
       prev_obj = obj;
@@ -353,10 +363,13 @@ NmfResult run_from_init(const Matrix& r, std::size_t rank,
     prev_obj = obj;
   }
   result.objective =
-      objective_from_gram(r_fro2, f_w, result.w, result.h, options.eta,
-                          options.lambda, &result.fit_error, threads);
+      objective_from_gram(r_fro2, f_w, result.w, result.h, gw, gh,
+                          options.eta, options.lambda, &result.fit_error);
   if (obs::enabled() && stats.solves > 0.0) {
     obs::counter_add("nnls.solves", stats.solves);
+    // Cholesky rows the solves (re)computed: the factor-refresh share of a
+    // restart's NNLS work.
+    obs::counter_add("nnls.factor_rows", stats.factor_rows);
     obs::counter_add("nnls.warm_starts", stats.warm_starts);
     obs::counter_add("nnls.warm_hits", stats.warm_hits);
     // Fraction of solves that finished on the inherited passive set — the

@@ -13,16 +13,16 @@ using linalg::VecView;
 
 void NnlsWorkspace::clear() {
   passive_.clear();
-  std::fill(in_passive_.begin(), in_passive_.end(), false);
+  std::fill(in_passive_.begin(), in_passive_.end(), std::uint8_t{0});
 }
 
 void NnlsWorkspace::seed_from_support(ConstVecView x) {
   passive_.clear();
-  in_passive_.assign(x.size(), false);
+  in_passive_.assign(x.size(), 0);
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (x[i] > 0.0) {
       passive_.push_back(i);
-      in_passive_[i] = true;
+      in_passive_[i] = 1;
     }
   }
 }
@@ -41,54 +41,121 @@ void NnlsWorkspace::ensure_capacity(std::size_t k, std::size_t n) {
   l_ = std::move(grown);
 }
 
-void NnlsWorkspace::refactor_from(const Matrix& g, std::size_t from) {
-  const std::size_t k = passive_.size();
-  ensure_capacity(k, g.rows());
-  // Same per-entry arithmetic as linalg::Cholesky, computed row-wise so a
-  // partial pass is exactly the suffix of a full factorization. Each inner
-  // product starts from 0.0 and adds in ascending index order (linalg::dot's
-  // order) before it is subtracted; Nnls.PaperCellSelectionPinnedBitwise
-  // pins the resulting bits. The raw row loops carry no bounds checks:
-  // tools/run_asan.sh's NNLS pre-pass is their check.
-  for (std::size_t i = from; i < k; ++i) {
-    const std::size_t gi = passive_[i];
-    const double* g_row = g.row_ptr(gi);
-    double* l_row = l_.row_ptr(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const double* l_prev = l_.row_ptr(j);
+// The kernels below keep linalg::Cholesky's per-entry arithmetic and
+// shorten only the dependency chains: independent sums run side by side,
+// each still started at 0.0 and added in ascending index order, so the bits
+// are those of the one-row-at-a-time loops
+// (Nnls.PaperCellSelectionPinnedBitwise,
+// Nnls.BlockedRefreshMatchesScalarReference). The raw row loops carry no
+// bounds checks: tools/run_asan.sh's NNLS pre-pass is their check.
+std::size_t cholesky_rows(const Matrix& g, std::span<const std::size_t> idx,
+                          std::size_t from, Matrix& l) {
+  const std::size_t k = idx.size();
+  // Row i in scalar order from column j0 on (entries < j0 already written),
+  // then its pivot. False when the pivot is not positive and finite.
+  const auto finish_row = [&](std::size_t i, std::size_t j0) {
+    const double* g_row = g.row_ptr(idx[i]);
+    double* l_row = l.row_ptr(i);
+    for (std::size_t j = j0; j < i; ++j) {
+      const double* l_prev = l.row_ptr(j);
       double s = 0.0;
       for (std::size_t t = 0; t < j; ++t) s += l_row[t] * l_prev[t];
-      l_row[j] = (g_row[passive_[j]] - s) / l_prev[j];
+      l_row[j] = (g_row[idx[j]] - s) / l_prev[j];
     }
     double s = 0.0;
     for (std::size_t t = 0; t < i; ++t) s += l_row[t] * l_row[t];
-    const double diag = g_row[gi] - s;
-    if (!(diag > 0.0) || !std::isfinite(diag)) {
-      throw NumericalError(
-          "nnls_gram: passive Gram block is not positive definite");
-    }
+    const double diag = g_row[idx[i]] - s;
+    if (!(diag > 0.0) || !std::isfinite(diag)) return false;
     l_row[i] = std::sqrt(diag);
+    return true;
+  };
+  std::size_t i = from;
+  for (; i + 4 <= k; i += 4) {
+    // Four rows at a time. Left of their 4x4 diagonal block, column j of
+    // each row needs only that row's earlier entries and factor row j: four
+    // independent chains that share each l_prev load.
+    double* r0 = l.row_ptr(i);
+    double* r1 = l.row_ptr(i + 1);
+    double* r2 = l.row_ptr(i + 2);
+    double* r3 = l.row_ptr(i + 3);
+    const double* g0 = g.row_ptr(idx[i]);
+    const double* g1 = g.row_ptr(idx[i + 1]);
+    const double* g2 = g.row_ptr(idx[i + 2]);
+    const double* g3 = g.row_ptr(idx[i + 3]);
+    for (std::size_t j = 0; j < i; ++j) {
+      const double* l_prev = l.row_ptr(j);
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::size_t t = 0; t < j; ++t) {
+        const double p = l_prev[t];
+        s0 += r0[t] * p;
+        s1 += r1[t] * p;
+        s2 += r2[t] * p;
+        s3 += r3[t] * p;
+      }
+      const std::size_t gj = idx[j];
+      const double pivot = l_prev[j];
+      r0[j] = (g0[gj] - s0) / pivot;
+      r1[j] = (g1[gj] - s1) / pivot;
+      r2[j] = (g2[gj] - s2) / pivot;
+      r3[j] = (g3[gj] - s3) / pivot;
+    }
+    // The diagonal block in scalar order: its rows depend on each other.
+    for (std::size_t r = i; r < i + 4; ++r) {
+      if (!finish_row(r, i)) return r;
+    }
+  }
+  for (; i < k; ++i) {
+    if (!finish_row(i, 0)) return i;
+  }
+  return k;
+}
+
+void cholesky_solve(const Matrix& l, std::span<const std::size_t> idx,
+                    ConstVecView f, double* z) {
+  const std::size_t k = idx.size();
+  // L y = f_idx, two rows at a time: both sums run over t < i in one pass,
+  // then row i + 1 adds its term t = i once z[i] is known.
+  std::size_t i = 0;
+  for (; i + 2 <= k; i += 2) {
+    const double* a = l.row_ptr(i);
+    const double* b = l.row_ptr(i + 1);
+    double sa = 0.0, sb = 0.0;
+    for (std::size_t t = 0; t < i; ++t) {
+      sa += a[t] * z[t];
+      sb += b[t] * z[t];
+    }
+    z[i] = (f[idx[i]] - sa) / a[i];
+    sb += b[i] * z[i];
+    z[i + 1] = (f[idx[i + 1]] - sb) / b[i + 1];
+  }
+  if (i < k) {
+    const double* a = l.row_ptr(i);
+    double s = 0.0;
+    for (std::size_t t = 0; t < i; ++t) s += a[t] * z[t];
+    z[i] = (f[idx[i]] - s) / a[i];
+  }
+  // L^T z = y: column ii of L is read down the rows below the diagonal.
+  // Each sum's dependent term z[ii + 1] comes first, so this stays serial.
+  for (std::size_t ii = k; ii-- > 0;) {
+    double s = 0.0;
+    for (std::size_t t = ii + 1; t < k; ++t) s += l(t, ii) * z[t];
+    z[ii] = (z[ii] - s) / l(ii, ii);
+  }
+}
+
+void NnlsWorkspace::refactor_from(const Matrix& g, std::size_t from) {
+  const std::size_t k = passive_.size();
+  ensure_capacity(k, g.rows());
+  if (cholesky_rows(g, passive_, from, l_) != k) {
+    throw NumericalError(
+        "nnls_gram: passive Gram block is not positive definite");
   }
   factor_rows_ += k - from;
 }
 
 void NnlsWorkspace::solve_passive(ConstVecView f) {
-  const std::size_t k = passive_.size();
-  z_.resize(k);
-  double* z = z_.data();
-  // L y = f_P
-  for (std::size_t i = 0; i < k; ++i) {
-    const double* l_row = l_.row_ptr(i);
-    double s = 0.0;
-    for (std::size_t t = 0; t < i; ++t) s += l_row[t] * z[t];
-    z[i] = (f[passive_[i]] - s) / l_row[i];
-  }
-  // L^T z = y: column ii of L is read down the rows below the diagonal.
-  for (std::size_t ii = k; ii-- > 0;) {
-    double s = 0.0;
-    for (std::size_t t = ii + 1; t < k; ++t) s += l_(t, ii) * z[t];
-    z[ii] = (z[ii] - s) / l_(ii, ii);
-  }
+  z_.resize(passive_.size());
+  cholesky_solve(l_, passive_, f, z_.data());
 }
 
 void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws) {
@@ -106,7 +173,7 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws) {
       (ws.in_passive_.size() != n || ws.passive_.back() >= n)) {
     ws.passive_.clear();
   }
-  if (ws.in_passive_.size() != n) ws.in_passive_.assign(n, false);
+  if (ws.in_passive_.size() != n) ws.in_passive_.assign(n, 0);
 
   // Scale-aware dual feasibility tolerance.
   double scale = 1.0;
@@ -139,7 +206,7 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws) {
   if (!warm) {
     for (std::size_t i = 0; i < n; ++i) x[i] = 0.0;
   }
-  const std::vector<std::size_t> inherited = ws.passive_;
+  ws.inherited_.assign(ws.passive_.begin(), ws.passive_.end());
 
   auto write_solution = [&] {
     for (std::size_t i = 0; i < n; ++i) x[i] = 0.0;
@@ -178,23 +245,23 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws) {
       for (std::size_t a = 0; a < ws.passive_.size(); ++a) {
         x[ws.passive_[a]] = ws.step_[a];
       }
-      // Drop passive variables that became (numerically) zero; the factor
-      // stays valid above the lowest removed position.
-      std::vector<std::size_t> next;
-      next.reserve(ws.passive_.size());
+      // Drop passive variables that became (numerically) zero, compacting
+      // the set in place; the factor stays valid above the lowest removed
+      // position.
+      std::size_t kept = 0;
       std::size_t lowest_removed = ws.passive_.size();
       for (std::size_t a = 0; a < ws.passive_.size(); ++a) {
         const std::size_t j = ws.passive_[a];
         if (x[j] > 1e-12) {
-          next.push_back(j);
+          ws.passive_[kept++] = j;
         } else {
           x[j] = 0.0;
-          ws.in_passive_[j] = false;
-          lowest_removed = std::min(lowest_removed, next.size());
+          ws.in_passive_[j] = 0;
+          lowest_removed = std::min(lowest_removed, kept);
         }
       }
       if (lowest_removed < ws.passive_.size()) {
-        ws.passive_ = std::move(next);
+        ws.passive_.resize(kept);
         ws.refactor_from(g, lowest_removed);
       }
       if (ws.passive_.empty()) return;
@@ -233,7 +300,7 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws) {
       }
     }
     if (enter == n) break;  // KKT satisfied
-    ws.in_passive_[enter] = true;
+    ws.in_passive_[enter] = 1;
     // Sorted insertion keeps the factor canonical; only rows from the
     // insertion position down need recomputing.
     const auto pos =
@@ -244,7 +311,7 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws) {
     ws.refactor_from(g, p);
     run_inner(false);
   }
-  ws.set_reused_ = warm && ws.passive_ == inherited;
+  ws.set_reused_ = warm && ws.passive_ == ws.inherited_;
 }
 
 void nnls_gram(const Matrix& g, ConstVecView f, VecView x) {

@@ -12,6 +12,8 @@
 // t+1 starts from iteration t's support instead of from zero.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -78,8 +80,12 @@ class NnlsWorkspace {
   /// z_ <- G_PP^{-1} f_P via the current factor (forward + back subst).
   void solve_passive(linalg::ConstVecView f);
 
+  // Every buffer is reused across calls and only grows, so a warm re-solve
+  // allocates nothing once the buffers have reached its sizes
+  // (tests/test_alloc_free.cpp).
   std::vector<std::size_t> passive_;  // ascending
-  std::vector<bool> in_passive_;
+  std::vector<std::uint8_t> in_passive_;
+  std::vector<std::size_t> inherited_;  // passive_ as the call found it
   linalg::Matrix l_;  // factor buffer; leading k x k lower triangle in use
   Vec z_;             // passive-block solution, aligned with passive_
   Vec w_;             // dual scratch
@@ -89,6 +95,26 @@ class NnlsWorkspace {
   std::size_t outer_iterations_ = 0;
   std::size_t factor_rows_ = 0;
 };
+
+/// The two Cholesky kernels under NnlsWorkspace, exposed so that tests can
+/// hold them bit for bit against a scalar reference.
+///
+/// cholesky_rows computes rows [from, idx.size()) of the lower Cholesky
+/// factor of G's principal block on the indices idx into the leading
+/// triangle of l (at least idx.size() square); rows < from are read, not
+/// written. Every entry is the scalar row-by-row arithmetic: each inner
+/// product starts from 0.0, adds in ascending index order and is then
+/// subtracted and divided. Returns idx.size(), or the first row whose pivot
+/// is not positive and finite (the rows before it are then valid).
+std::size_t cholesky_rows(const linalg::Matrix& g,
+                          std::span<const std::size_t> idx, std::size_t from,
+                          linalg::Matrix& l);
+
+/// z <- (L L^T)^{-1} f_idx with L the leading idx.size() triangle of l:
+/// forward substitution, then back substitution, each sum in ascending
+/// index order from 0.0. z holds idx.size() entries.
+void cholesky_solve(const linalg::Matrix& l, std::span<const std::size_t> idx,
+                    linalg::ConstVecView f, double* z);
 
 /// Solve min ||A x - b||_2, x >= 0, given the Gram matrix G = A^T A and
 /// f = A^T b. G must be symmetric positive definite on every principal

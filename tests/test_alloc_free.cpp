@@ -11,10 +11,13 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
+#include "nmf/nnls.hpp"
+#include "rng/rng.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -72,6 +75,41 @@ TEST(AllocFree, MatrixViewBlockDoesNotAllocate) {
   for (int i = 0; i < kCalls; ++i) {
     const std::size_t r0 = static_cast<std::size_t>(i) % 4 * g_runtime_one;
     acc += v.block(r0, 1, 4, 7)(3, 6);
+  }
+  g_sink = acc;
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST(AllocFree, WarmNnlsResolveDoesNotAllocate) {
+  // ANLS re-solves each column on a warm workspace tens of thousands of
+  // times a restart. Two right-hand sides with different supports make
+  // every re-solve move variables in and out of the passive set, so the
+  // inherited copy, the in-place pruning and the factor refresh all run.
+  const std::size_t n = 12;
+  rng::Rng rng(5);
+  linalg::Matrix a(n + 4, n);
+  for (auto& v : a.data()) v = rng.uniform(-1.0, 1.0);
+  linalg::Matrix g(n, n);
+  linalg::gemm(1.0, a.cview(), linalg::Op::Transpose, a.cview(),
+               linalg::Op::None, 0.0, g.view());
+  const Vec f1 = a.apply_transposed(rng.uniform_vec(n + 4, -1.0, 1.0));
+  const Vec f2 = a.apply_transposed(rng.uniform_vec(n + 4, -1.0, 1.0));
+  nmf::NnlsWorkspace ws;
+  Vec x(n, 0.0);
+  std::vector<std::size_t> support1, support2;
+  for (int round = 0; round < 2; ++round) {  // warm-up
+    nmf::nnls_gram(g, f1, linalg::VecView(x), ws);
+    support1 = ws.passive_set();
+    nmf::nnls_gram(g, f2, linalg::VecView(x), ws);
+    support2 = ws.passive_set();
+  }
+  ASSERT_NE(support1, support2);
+  ASSERT_FALSE(support1.empty());
+  const std::size_t before = g_allocations.load();
+  double acc = 0.0;
+  for (int i = 0; i < kCalls; ++i) {
+    nmf::nnls_gram(g, i % 2 == 0 ? f1 : f2, linalg::VecView(x), ws);
+    acc += x[0];
   }
   g_sink = acc;
   EXPECT_EQ(g_allocations.load() - before, 0u);

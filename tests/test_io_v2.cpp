@@ -4,6 +4,7 @@
 // the owned text-path objects).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -95,6 +96,52 @@ TEST(Codec, MatrixRoundTripIsBitwise) {
   EXPECT_EQ(std::memcmp(back.data().data(), m.data().data(),
                         m.data().size() * sizeof(double)),
             0);
+}
+
+/// A stream buffer over a string that cannot seek and hands out at most
+/// 1000 bytes per refill, like a pipe.
+class PipeBuf final : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ >= bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(1000, bytes_.size() - pos_);
+    char* base = bytes_.data() + pos_;
+    setg(base, base, base + n);
+    pos_ += n;
+    return traits_type::to_int_type(*base);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t pos_ = 0;
+};
+
+TEST(Codec, BinaryReaderReadsStreamsThatCannotSeek) {
+  // Larger than one read chunk, so the unseekable path appends several.
+  rng::Rng rng(4);
+  linalg::Matrix m(160, 100);
+  for (auto& x : m.data()) x = rng.uniform(-10.0, 10.0);
+  const std::string blob =
+      write_binary([&](CorpusWriter& w) { w.write_matrix(m); });
+  ASSERT_GT(blob.size(), std::size_t{1} << 16);
+  PipeBuf pipe(blob);
+  std::istream is(&pipe);
+  ASSERT_EQ(is.tellg(), std::streampos(std::streamoff(-1)));  // no seeking
+  const linalg::Matrix back = BinaryCodec::reader(is)->read_matrix();
+  ASSERT_EQ(back.rows(), m.rows());
+  ASSERT_EQ(back.cols(), m.cols());
+  EXPECT_EQ(std::memcmp(back.data().data(), m.data().data(),
+                        m.data().size() * sizeof(double)),
+            0);
+  // Truncation is rejected the same way whether or not the stream seeks.
+  for (const std::size_t keep : {blob.size() - 1, std::size_t{10}}) {
+    PipeBuf cut(blob.substr(0, keep));
+    std::istream cut_is(&cut);
+    EXPECT_THROW((void)BinaryCodec::reader(cut_is), IoError) << keep;
+  }
 }
 
 TEST(Codec, CipherDatabaseBinaryMatchesTextPathBitwise) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "bit_digest.hpp"
 #include "core/snmf_attack.hpp"
@@ -225,6 +228,140 @@ TEST(Nnls, WorkspaceSanitizedOnProblemSizeChange) {
   EXPECT_FALSE(ws.warm_started());
   const Vec cold = nnls_gram(g7, f7);
   for (std::size_t j = 0; j < 7; ++j) EXPECT_EQ(x7[j], cold[j]);
+}
+
+/// The one-row-at-a-time Cholesky refresh the blocked kernel replaced,
+/// kept here as its reference: rows [from, idx.size()) of G's principal
+/// block on idx, each inner product from 0.0 in ascending index order.
+/// Returns idx.size(), or the first row whose pivot is not positive.
+std::size_t reference_rows(const Matrix& g, const std::vector<std::size_t>& idx,
+                           std::size_t from, Matrix& l) {
+  for (std::size_t i = from; i < idx.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      double s = 0.0;
+      for (std::size_t t = 0; t < j; ++t) s += l(i, t) * l(j, t);
+      l(i, j) = (g(idx[i], idx[j]) - s) / l(j, j);
+    }
+    double s = 0.0;
+    for (std::size_t t = 0; t < i; ++t) s += l(i, t) * l(i, t);
+    const double diag = g(idx[i], idx[i]) - s;
+    if (!(diag > 0.0) || !std::isfinite(diag)) return i;
+    l(i, i) = std::sqrt(diag);
+  }
+  return idx.size();
+}
+
+/// The scalar forward and back substitution the two-row kernel replaced.
+Vec reference_solve(const Matrix& l, const std::vector<std::size_t>& idx,
+                    const Vec& f) {
+  const std::size_t k = idx.size();
+  Vec z(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    double s = 0.0;
+    for (std::size_t t = 0; t < i; ++t) s += l(i, t) * z[t];
+    z[i] = (f[idx[i]] - s) / l(i, i);
+  }
+  for (std::size_t ii = k; ii-- > 0;) {
+    double s = 0.0;
+    for (std::size_t t = ii + 1; t < k; ++t) s += l(t, ii) * z[t];
+    z[ii] = (z[ii] - s) / l(ii, ii);
+  }
+  return z;
+}
+
+/// Bit equality of the lower triangles' first `rows` rows, plus `tail`
+/// off-diagonal entries of the row after them.
+::testing::AssertionResult same_factor_bits(const Matrix& a, const Matrix& b,
+                                            std::size_t rows,
+                                            std::size_t tail = 0) {
+  for (std::size_t i = 0; i <= rows && i < a.rows(); ++i) {
+    const std::size_t width = i < rows ? i + 1 : tail;
+    for (std::size_t j = 0; j < width; ++j) {
+      if (std::bit_cast<std::uint64_t>(a(i, j)) !=
+          std::bit_cast<std::uint64_t>(b(i, j))) {
+        return ::testing::AssertionFailure()
+               << "L(" << i << ", " << j << "): " << a(i, j) << " vs "
+               << b(i, j);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Nnls, BlockedRefreshMatchesScalarReference) {
+  // The four-row refresh and the two-row forward solve against the scalar
+  // loops above, bit for bit: full factors of every size 1..17 (every
+  // remainder of the four-row blocks), partial refreshes from the position
+  // of an insert or a removal, and a non-SPD block rejected at the row the
+  // scalar loop rejects.
+  rng::Rng rng(41);
+  const std::size_t n = 24;
+  Matrix g;
+  Vec f;
+  random_gram_problem(n, rng, g, f);
+  const auto factor = [&](const std::vector<std::size_t>& idx) {
+    Matrix l(n, n, 0.0);
+    EXPECT_EQ(reference_rows(g, idx, 0, l), idx.size());
+    return l;
+  };
+  for (std::size_t k = 1; k <= 17; ++k) {
+    std::vector<std::size_t> idx;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (idx.size() < k && rng.uniform(0.0, 1.0) * static_cast<double>(n - i) <
+                                static_cast<double>(k - idx.size())) {
+        idx.push_back(i);
+      }
+    }
+    ASSERT_EQ(idx.size(), k);
+    const Matrix ref = factor(idx);
+    Matrix got(n, n, 0.0);
+    ASSERT_EQ(cholesky_rows(g, idx, 0, got), k);
+    EXPECT_TRUE(same_factor_bits(ref, got, k)) << "k=" << k;
+    Vec z(k);
+    cholesky_solve(got, idx, f, z.data());
+    const Vec z_ref = reference_solve(ref, idx, f);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(z[i]),
+                std::bit_cast<std::uint64_t>(z_ref[i]))
+          << "k=" << k << " i=" << i;
+    }
+
+    // Insert every free index: rows below its sorted position p are stale,
+    // rows above are kept and only [p, k + 1) is recomputed.
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto pos = std::lower_bound(idx.begin(), idx.end(), v);
+      if (pos != idx.end() && *pos == v) continue;
+      const auto p = static_cast<std::size_t>(pos - idx.begin());
+      std::vector<std::size_t> grown = idx;
+      grown.insert(grown.begin() + static_cast<std::ptrdiff_t>(p), v);
+      Matrix partial = got;
+      ASSERT_EQ(cholesky_rows(g, grown, p, partial), k + 1);
+      EXPECT_TRUE(same_factor_bits(factor(grown), partial, k + 1))
+          << "k=" << k << " insert " << v << " at " << p;
+    }
+    // Remove each member: the same, from the removed position.
+    for (std::size_t p = 0; p < k; ++p) {
+      std::vector<std::size_t> shrunk = idx;
+      shrunk.erase(shrunk.begin() + static_cast<std::ptrdiff_t>(p));
+      Matrix partial = got;
+      ASSERT_EQ(cholesky_rows(g, shrunk, p, partial), k - 1);
+      EXPECT_TRUE(same_factor_bits(factor(shrunk), partial, k - 1))
+          << "k=" << k << " remove at " << p;
+    }
+    // A zero pivot entry makes the block indefinite at row r and nowhere
+    // earlier: both loops must stop there, with the same rows before it and
+    // the same entries left of its pivot.
+    for (std::size_t r = 0; r < k; ++r) {
+      Matrix bad = g;
+      bad(idx[r], idx[r]) = 0.0;
+      Matrix l_ref(n, n, 0.0);
+      Matrix l_got(n, n, 0.0);
+      EXPECT_EQ(reference_rows(bad, idx, 0, l_ref), r) << "k=" << k;
+      ASSERT_EQ(cholesky_rows(bad, idx, 0, l_got), r) << "k=" << k;
+      EXPECT_TRUE(same_factor_bits(l_ref, l_got, r, r))
+          << "k=" << k << " bad row " << r;
+    }
+  }
 }
 
 TEST(Nnls, PaperCellSelectionPinnedBitwise) {

@@ -544,6 +544,7 @@ TEST(Obs, AbsorbMergesRecordedCountersIntoTelemetry) {
   // With a sink attached, the result telemetry also carries the lower-layer
   // counters recorded during the run (nmf, linalg), not just the driver's.
   EXPECT_GT(res.telemetry.counter("nmf.nnls_solves"), 0.0);
+  EXPECT_GT(res.telemetry.counter("nnls.factor_rows"), 0.0);
   EXPECT_GT(res.telemetry.counter("linalg.gemm.flops"), 0.0);
   // And the sink received the same recording.
   EXPECT_GT(sink.counter("nmf.nnls_solves"), 0.0);
